@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test lint wflint race cover bench bench-baseline bench-gate e2e e2e-shard e2e-diskfault gauntlet sim golden
+.PHONY: check fmt vet build test lint wflint race flake cover bench bench-baseline bench-gate e2e e2e-shard e2e-diskfault gauntlet sim golden
 
 check: lint build test bench
 
@@ -38,6 +38,12 @@ test:
 # this, so local reproduction is one command.
 race:
 	$(GO) test -race ./...
+
+# Flake hunt: the concurrent packages twenty times over. Tier-1 must be
+# green every run; a test that fails once in a hundred shows up here
+# long before it reddens an unrelated change.
+flake:
+	$(GO) test -count=20 ./internal/engine ./internal/orb ./internal/taskexec ./internal/store ./internal/shard ./internal/sim
 
 # Coverage profile plus a printed total (the last line of cover -func).
 cover:

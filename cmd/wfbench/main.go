@@ -579,8 +579,8 @@ func run(iters int, quick bool) error {
 
 	// S3 executor-pool scaling: the closed-loop load generator drives
 	// located-workflow instances against in-process executor pools of
-	// 1/2/4 members (per-member dispatch is serialised and each
-	// activation carries simulated work, so the pool is the bottleneck
+	// 1/2/4 members (each member works on one activation at a time and
+	// each activation carries simulated work, so the pool is the bottleneck
 	// and throughput must scale with members), plus the
 	// kill-one-mid-run failover scenario.
 	loadWorkers, loadTotal := 8, 96

@@ -180,13 +180,17 @@ func TestDifferentialRepeatMarkRetry(t *testing.T) {
 		})
 		inst := r.run(t, cyclerScript, fmt.Sprintf("cycler-rescan=%v", cfg.FullRescan), "main", registry.Objects{"seed": val("D", 0)})
 		res := waitResult(t, inst)
-		traces := make(map[string][]string)
-		for _, e := range inst.Events() {
-			traces[e.Task] = append(traces[e.Task], fmt.Sprintf("%s output=%s iter=%d attempt=%d", e.Kind, e.Output, e.Iteration, e.Attempt))
-		}
+		// Wait returns when the terminal status is set, which the
+		// controller does before it emits instance-completed. Snapshot
+		// round-trips through the controller, so the drain that settled
+		// the instance has emitted everything before Events is read.
 		rows, err := inst.Snapshot()
 		if err != nil {
 			t.Fatal(err)
+		}
+		traces := make(map[string][]string)
+		for _, e := range inst.Events() {
+			traces[e.Task] = append(traces[e.Task], fmt.Sprintf("%s output=%s iter=%d attempt=%d", e.Kind, e.Output, e.Iteration, e.Attempt))
 		}
 		return schedOutcome{result: res, traces: traces, rows: rows}
 	}

@@ -76,7 +76,10 @@ func TestLocatedTasksAcrossExecutors(t *testing.T) {
 	newNode("node-west")
 
 	// The execution service, wired to dispatch located tasks via naming.
-	invoker := taskexec.NewInvoker(naming.Resolve, orb.ClientConfig{})
+	invoker, err := taskexec.NewPoolInvoker(naming.ResolveAll, taskexec.PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(invoker.Close)
 	st := store.NewMemStore()
 	preg := persist.NewRegistry(st, txn.NewManager(st), nil)

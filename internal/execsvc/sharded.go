@@ -194,6 +194,12 @@ func (sc *ShardedClient) doDedup(instance string, fn func(*Client) error, applie
 			if err == nil {
 				return nil
 			}
+			if errors.Is(err, orb.ErrClosed) {
+				// A sibling's eviction closed this client under us; the
+				// request never left. The cache hands out a fresh client.
+				redirect = addr
+				continue
+			}
 			if transportFailure(err) {
 				// The coordinator is dead or dying; drop its connection so
 				// the cache tracks live lease holders, not history.

@@ -24,7 +24,8 @@ type LoadConfig struct {
 	// (each stage is one remote dispatch). Default 4.
 	ChainLen int
 	// TaskDelay is the simulated work per activation on the executor
-	// side. Default 2ms.
+	// side; each executor node works on one activation at a time.
+	// Default 2ms.
 	TaskDelay time.Duration
 	// Balance selects the pool balancing strategy (taskexec constants).
 	// Default round-robin.
@@ -135,7 +136,13 @@ func NewLoadEnv(cfg LoadConfig) (*LoadEnv, error) {
 
 	for i := 0; i < cfg.Executors; i++ {
 		impls := registry.New()
+		// A node is one worker: its activations run one at a time, which
+		// is what makes the pool, not the wire, the scenario's bottleneck
+		// (the orb carries any number of concurrent calls per connection).
+		worker := make(chan struct{}, 1)
 		impls.Bind("stage", func(ctx registry.Context) (registry.Result, error) {
+			worker <- struct{}{}
+			defer func() { <-worker }()
 			if cfg.TaskDelay > 0 {
 				<-wall.Wake(wall.Now().Add(cfg.TaskDelay))
 			}

@@ -54,8 +54,8 @@ func TestLoadGenThroughputScalesWithExecutors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based scaling assertion")
 	}
-	// The executor pool is the bottleneck (per-endpoint dispatches are
-	// serialised on one connection, each activation sleeps): quadrupling
+	// The executor pool is the bottleneck (each node works on one
+	// activation at a time, each activation sleeps): quadrupling
 	// the pool must raise throughput substantially. The 2x floor (vs the
 	// ideal 4x) keeps the assertion robust on loaded CI machines.
 	cfg := experiments.LoadConfig{ChainLen: 4, TaskDelay: 2 * time.Millisecond}

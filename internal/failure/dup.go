@@ -1,7 +1,6 @@
 package failure
 
 import (
-	"fmt"
 	"net"
 	"sync"
 )
@@ -9,10 +8,12 @@ import (
 // The orb wire protocol is a stream of gob messages: each message is a
 // gob-encoded unsigned length followed by that many payload bytes, and
 // the payload begins with a gob-encoded signed type id — negative for a
-// type-descriptor message, positive for a value message. Frame
-// duplication must respect those boundaries: re-sending a descriptor
-// breaks the peer's decoder (duplicate type definition), so only value
-// messages — the request itself — are duplicated.
+// type-descriptor message, positive for a value message. A request
+// frame is two value messages (header, then argument), each preceded on
+// first use by its type's descriptors. Frame duplication must respect
+// those boundaries: re-sending a descriptor breaks the peer's decoder
+// (duplicate type definition), so only value messages — the request
+// itself — are duplicated.
 
 // gobUint decodes gob's unsigned-integer wire form from the front of
 // buf: a value < 128 is one byte; otherwise one byte holding the
@@ -62,34 +63,29 @@ func (g *gobFramer) next() (msg []byte, value bool, ok bool) {
 	return msg, value, true
 }
 
-// dupConn duplicates the first value message written on the connection
-// — the request, once its type descriptors have gone ahead of it — so
-// the servant executes it twice. The extra response desynchronises the
-// stream, exactly like a retransmitted request reaching a server whose
-// reply to the original was lost; the conn therefore severs itself
-// after the first response value message passes back, and the client's
-// redial machinery takes over. Both sides are reframed so the cut never
-// lands inside a message.
+// dupConn duplicates the first request frame written on the connection
+// — its two value messages, header and argument, once their type
+// descriptors have gone ahead of them — so the servant executes the
+// request twice, exactly like a retransmitted request reaching a server
+// whose reply to the original was lost. Both copies carry the same
+// request ID: the client takes the first reply and drops the second by
+// ID, and the connection carries on. Writes are reframed so the copy
+// never lands inside a message.
 type dupConn struct {
 	net.Conn
 	stats *Stats
 
-	wmu     sync.Mutex
+	mu      sync.Mutex
 	wf      gobFramer
-	pending bool // duplicate the next value message written
-
-	rmu   sync.Mutex
-	rf    gobFramer
-	out   []byte // complete messages ready for the reader
-	armed bool   // a duplicate went out; cut after one response value
-	cut   bool
+	pending bool     // duplicate the next request frame written
+	frame   [][]byte // its value messages seen so far
 }
 
-// Write implements net.Conn, forwarding complete messages and
-// duplicating the first value message while armed.
+// Write implements net.Conn, forwarding complete messages and re-sending
+// the first request frame's value messages behind it.
 func (c *dupConn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.wf.feed(p)
 	for {
 		msg, value, ok := c.wf.next()
@@ -99,54 +95,19 @@ func (c *dupConn) Write(p []byte) (int, error) {
 		if _, err := c.Conn.Write(msg); err != nil {
 			return 0, err
 		}
-		if value && c.pending {
-			c.pending = false
-			if _, err := c.Conn.Write(msg); err != nil {
+		if !value || !c.pending {
+			continue
+		}
+		if c.frame = append(c.frame, msg); len(c.frame) < 2 {
+			continue
+		}
+		c.pending = false
+		for _, m := range c.frame {
+			if _, err := c.Conn.Write(m); err != nil {
 				return 0, err
 			}
-			c.stats.addDuplicated()
-			c.rmu.Lock()
-			c.armed = true
-			c.rmu.Unlock()
 		}
+		c.frame = nil
+		c.stats.duplicated.Add(1)
 	}
-}
-
-// Read implements net.Conn, delivering whole messages and severing the
-// stream after the response to a duplicated request.
-func (c *dupConn) Read(p []byte) (int, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	for len(c.out) == 0 {
-		if c.cut {
-			_ = c.Conn.Close()
-			return 0, fmt.Errorf("read: %w: connection severed after duplicated delivery", ErrInjected)
-		}
-		tmp := make([]byte, 4096)
-		c.rmu.Unlock()
-		n, err := c.Conn.Read(tmp)
-		c.rmu.Lock()
-		if n > 0 {
-			c.rf.feed(tmp[:n])
-			for {
-				msg, value, ok := c.rf.next()
-				if !ok {
-					break
-				}
-				c.out = append(c.out, msg...)
-				if value && c.armed {
-					// The reply the client is owed is through; the
-					// duplicate's reply dies with the connection.
-					c.cut = true
-					break
-				}
-			}
-		}
-		if err != nil && len(c.out) == 0 {
-			return 0, err
-		}
-	}
-	n := copy(p, c.out)
-	c.out = c.out[n:]
-	return n, nil
 }

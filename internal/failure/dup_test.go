@@ -11,10 +11,10 @@ import (
 )
 
 // TestDupDeliversRequestTwice: with duplication armed, the servant
-// executes each request twice while the client still gets exactly one
-// correct reply per call — the shape an at-least-once delivery layer
-// hands to its callers, which is what application-level dedup must
-// absorb.
+// executes a connection's first request twice while the client still
+// gets exactly one correct reply per call — the shape an at-least-once
+// delivery layer hands to its callers, which is what application-level
+// dedup must absorb.
 func TestDupDeliversRequestTwice(t *testing.T) {
 	srv, err := orb.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -30,28 +30,26 @@ func TestDupDeliversRequestTwice(t *testing.T) {
 	srv.Register("svc", sv)
 
 	d, stats := failure.Lossy(failure.NetConfig{DupProb: 1, Seed: 5})
-	// Per-call connections: each call gets its own duplicated delivery
-	// and its own severed stream, so counts are exact.
-	cl := orb.Dial(srv.Addr(), orb.ClientConfig{Dialer: d, PerCallConn: true, Retries: -1})
-	defer cl.Close()
 
+	// One client, hence one connection, per call: each call is its
+	// connection's first request and gets its own duplicated delivery,
+	// so counts are exact.
 	const calls = 5
 	for i := 0; i < calls; i++ {
+		cl := orb.Dial(srv.Addr(), orb.ClientConfig{Dialer: d, Retries: -1})
 		var reply string
-		if err := cl.Invoke("svc", "echo", "x", &reply); err != nil {
+		err := cl.Invoke("svc", "echo", "x", &reply)
+		cl.Close()
+		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 		if reply != "echo:x" {
 			t.Fatalf("call %d reply = %q", i, reply)
 		}
 	}
-	// The duplicate rides the same connection; the servant sees it even
-	// though the client has already moved on. Give the server a moment
-	// to drain the duplicates.
-	deadline := time.Now().Add(2 * time.Second)
-	for hits.Load() < 2*calls && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The duplicate's handler may still be running when its caller has
+	// moved on; Close reaps the handlers.
+	srv.Close()
 	if got := hits.Load(); got != 2*calls {
 		t.Fatalf("servant executed %d times, want %d (each request duplicated)", got, 2*calls)
 	}
@@ -60,24 +58,30 @@ func TestDupDeliversRequestTwice(t *testing.T) {
 	}
 }
 
-// TestDupSeversPipelinedConnection: on a pipelined client the severed
-// stream surfaces as a transport error the retry machinery heals — no
-// stale duplicate reply is ever delivered to a later call.
-func TestDupSeversPipelinedConnection(t *testing.T) {
+// TestDupReplyDroppedByID: the duplicated request frame carries the
+// original's ID, so the servant's second reply matches no pending call
+// and is dropped — the connection stays up with no retry, and no later
+// call ever sees a stale reply.
+func TestDupReplyDroppedByID(t *testing.T) {
 	srv, err := orb.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	var hits atomic.Int64
 	sv := orb.NewServant()
-	orb.Method(sv, "id", func(req int) (int, error) { return req, nil })
+	orb.Method(sv, "id", func(req int) (int, error) {
+		hits.Add(1)
+		return req, nil
+	})
 	srv.Register("svc", sv)
 
-	d, _ := failure.Lossy(failure.NetConfig{DupProb: 1, Seed: 5})
-	cl := orb.Dial(srv.Addr(), orb.ClientConfig{Dialer: d, Retries: 5})
+	d, stats := failure.Lossy(failure.NetConfig{DupProb: 1, Seed: 5})
+	cl := orb.Dial(srv.Addr(), orb.ClientConfig{Dialer: d, Retries: -1})
 	defer cl.Close()
 
-	for i := 0; i < 8; i++ {
+	const calls = 8
+	for i := 0; i < calls; i++ {
 		var reply int
 		if err := cl.Invoke("svc", "id", i, &reply); err != nil {
 			t.Fatalf("call %d: %v", i, err)
@@ -86,10 +90,17 @@ func TestDupSeversPipelinedConnection(t *testing.T) {
 			t.Fatalf("call %d got stale reply %d", i, reply)
 		}
 	}
+	if got := stats.Duplicated(); got != 1 {
+		t.Fatalf("stats.Duplicated() = %d, want 1 (the connection's first request)", got)
+	}
+	srv.Close() // reap the duplicate's handler, which no caller waited for
+	if got := hits.Load(); got != calls+1 {
+		t.Fatalf("servant executed %d times, want %d", got, calls+1)
+	}
 }
 
-// TestReorderDelaysDials: reordering jitter lets concurrent calls
-// overtake each other but never corrupts any of them.
+// TestReorderDelaysDials: reordering jitter lets concurrently dialling
+// clients overtake each other but never corrupts any of their calls.
 func TestReorderDelaysDials(t *testing.T) {
 	srv, err := orb.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -101,8 +112,6 @@ func TestReorderDelaysDials(t *testing.T) {
 	srv.Register("svc", sv)
 
 	d, stats := failure.Lossy(failure.NetConfig{ReorderProb: 1, ReorderMax: 5 * time.Millisecond, Seed: 3})
-	cl := orb.Dial(srv.Addr(), orb.ClientConfig{Dialer: d, PerCallConn: true})
-	defer cl.Close()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 10)
@@ -110,6 +119,8 @@ func TestReorderDelaysDials(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			cl := orb.Dial(srv.Addr(), orb.ClientConfig{Dialer: d})
+			defer cl.Close()
 			var reply int
 			if err := cl.Invoke("svc", "id", i, &reply); err != nil {
 				errs[i] = err

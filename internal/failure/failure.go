@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/orb"
@@ -40,9 +41,9 @@ type NetConfig struct {
 	// number of frames in [1, DropAfter] (mid-call drops).
 	DropAfter int
 	// DupProb is the probability that a connection duplicates its first
-	// request in flight (the servant executes it twice) and then severs
-	// itself once the first reply passes — a retransmission into a
-	// dying connection. Exercises the callers' idempotence/dedup paths.
+	// request in flight: the servant executes it twice, and the client
+	// drops the second reply by request ID. Exercises the callers'
+	// idempotence/dedup paths.
 	DupProb float64
 	// ReorderProb is the probability that a dial is held back by a
 	// random delay in (0, ReorderMax], letting concurrently issued
@@ -89,12 +90,12 @@ func Lossy(cfg NetConfig) (orb.Dialer, *Stats) {
 		mu.Unlock()
 		if delay := cfg.Delay + reorder; delay > 0 {
 			if reorder > 0 {
-				stats.addReordered()
+				stats.reordered.Add(1)
 			}
 			<-clk.Wake(clk.Now().Add(delay))
 		}
 		if refuse {
-			stats.addRefused()
+			stats.refused.Add(1)
 			return nil, fmt.Errorf("dial %s: %w: connection refused", addr, ErrInjected)
 		}
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -113,64 +114,20 @@ func Lossy(cfg NetConfig) (orb.Dialer, *Stats) {
 
 // Stats counts injected faults.
 type Stats struct {
-	mu         sync.Mutex
-	refused    int
-	dropped    int
-	duplicated int
-	reordered  int
-}
-
-func (s *Stats) addRefused() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refused++
-}
-
-func (s *Stats) addDropped() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropped++
+	refused, dropped, duplicated, reordered atomic.Int64
 }
 
 // Refused reports injected dial refusals.
-func (s *Stats) Refused() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refused
-}
+func (s *Stats) Refused() int { return int(s.refused.Load()) }
 
 // Dropped reports injected mid-connection drops.
-func (s *Stats) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-func (s *Stats) addDuplicated() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.duplicated++
-}
+func (s *Stats) Dropped() int { return int(s.dropped.Load()) }
 
 // Duplicated reports injected request duplications.
-func (s *Stats) Duplicated() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.duplicated
-}
-
-func (s *Stats) addReordered() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reordered++
-}
+func (s *Stats) Duplicated() int { return int(s.duplicated.Load()) }
 
 // Reordered reports injected delivery reorderings.
-func (s *Stats) Reordered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reordered
-}
+func (s *Stats) Reordered() int { return int(s.reordered.Load()) }
 
 // droppingConn closes itself after a budget of writes.
 type droppingConn struct {
@@ -187,7 +144,7 @@ func (c *droppingConn) Write(p []byte) (int, error) {
 	kill := c.remaining < 0
 	c.mu.Unlock()
 	if kill {
-		c.stats.addDropped()
+		c.stats.dropped.Add(1)
 		_ = c.Conn.Close()
 		return 0, fmt.Errorf("write: %w: connection dropped", ErrInjected)
 	}

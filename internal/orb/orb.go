@@ -6,9 +6,18 @@
 // stubs, with automatic retry of idempotent invocations over temporary
 // network failures — the system-level behaviour Section 3 assumes.
 //
-// The wire protocol is deliberately simple: length-delimited gob frames
-// carrying (object, method, payload) requests and (error, payload)
-// replies. Fault injection wraps the dialer (see internal/failure).
+// The wire protocol is one gob stream per direction of a connection.
+// A request frame is a header value (request ID, object, method, call
+// metadata) followed by the typed argument value; a reply frame is a
+// header value (the request's ID, servant error) followed, on success,
+// by the typed result value. Both sides keep one encoder and one
+// decoder for the life of the connection, so a type's descriptor
+// crosses the wire once and every payload is encoded once. Frames are
+// tagged, not ordered: a client has any number of calls in flight on
+// its one connection, the server runs each request in its own
+// goroutine, and replies return in completion order to be routed to
+// their callers by ID. Fault injection wraps the dialer (see
+// internal/failure).
 package orb
 
 import (
@@ -18,28 +27,31 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"reflect"
 	"sync"
 	"time"
 
 	"repro/internal/timers"
 )
 
-// request is one invocation frame. Meta carries out-of-band call
-// metadata (trace propagation: "trace-id", "span-id") without touching
-// any method's argument type; gob encodes a nil map as empty, so frames
-// from older clients decode with Meta == nil.
-type request struct {
+// requestHeader opens a request frame; the argument value follows it.
+// Meta carries out-of-band call metadata (trace propagation:
+// "trace-id", "span-id") without touching any method's argument type.
+type requestHeader struct {
+	ID     uint64
 	Object string
 	Method string
 	Meta   map[string]string
-	Arg    []byte
 }
 
-// response is one reply frame. AppErr distinguishes application errors
-// (returned by the servant, not retried) from transport errors.
-type response struct {
+// replyHeader opens a reply frame. Failed marks a servant error (AppErr
+// is its text, never retried), as distinct from a transport error; the
+// result value follows only when Failed is unset.
+type replyHeader struct {
+	ID     uint64
+	Failed bool
 	AppErr string
-	Reply  []byte
 }
 
 // ErrNoObject is returned for invocations on unregistered servants.
@@ -48,6 +60,14 @@ var ErrNoObject = errors.New("no such object")
 // ErrNoMethod is returned for unknown methods of a servant.
 var ErrNoMethod = errors.New("no such method")
 
+// ErrClosed is returned by invocations issued after Client.Close, and
+// to the calls that were pending when it ran.
+var ErrClosed = errors.New("orb: client closed")
+
+// errEncode marks a payload gob could not encode: nothing of the frame
+// was committed, and the connection is still in sync.
+var errEncode = errors.New("gob encode")
+
 // AppError wraps an error returned by a remote servant (as opposed to a
 // transport failure). AppErrors are never retried.
 type AppError struct{ Msg string }
@@ -55,94 +75,94 @@ type AppError struct{ Msg string }
 // Error implements the error interface.
 func (e *AppError) Error() string { return e.Msg }
 
-// Handler executes one method of a servant.
-type Handler func(arg []byte) ([]byte, error)
+// wire is the sending half of a connection: its one gob encoder behind
+// a lock held for a single frame's encode and write.
+type wire struct {
+	conn net.Conn
 
-// MetaHandler executes one method of a servant with access to the
-// request's call metadata (trace propagation). meta is nil when the
-// caller sent none.
-type MetaHandler func(meta map[string]string, arg []byte) ([]byte, error)
+	mu         sync.Mutex
+	enc        *gob.Encoder
+	head, body bytes.Buffer  // the frame being assembled
+	cur        *bytes.Buffer // where the encoder is writing
+}
+
+func newWire(conn net.Conn) *wire {
+	w := &wire{conn: conn}
+	w.enc = gob.NewEncoder(w)
+	return w
+}
+
+// Write implements io.Writer for the encoder.
+func (w *wire) Write(p []byte) (int, error) { return w.cur.Write(p) }
+
+// send writes one frame: the header value, then the payload value
+// unless payload is nil. The payload is encoded first, so a value gob
+// cannot encode is reported (wrapping errEncode) before anything is
+// committed; type descriptors the failed encode did emit stay queued
+// for the next frame, because the encoder will not send them again. A
+// non-zero deadline bounds the write in wall time.
+func (w *wire) send(deadline time.Time, header, payload any) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if payload != nil {
+		w.cur = &w.body
+		if err := w.enc.Encode(payload); err != nil {
+			return fmt.Errorf("%w: %v", errEncode, err)
+		}
+	}
+	w.cur = &w.head
+	err := w.enc.Encode(header)
+	if err == nil {
+		if !deadline.IsZero() {
+			_ = w.conn.SetWriteDeadline(deadline)
+		}
+		w.head.Write(w.body.Bytes())
+		_, err = w.conn.Write(w.head.Bytes())
+	}
+	w.head.Reset()
+	w.body.Reset()
+	return err
+}
+
+// boundCall is one decoded request, ready to run.
+type boundCall func(meta map[string]string) (any, error)
+
+// method decodes its request payload off a connection's decoder — on
+// the connection's read loop, the stream's only reader — and returns
+// the call to run.
+type method func(dec *gob.Decoder) (boundCall, error)
 
 // Servant is a dispatch table of methods.
 type Servant struct {
-	mu          sync.RWMutex
-	methods     map[string]Handler
-	metaMethods map[string]MetaHandler
+	mu      sync.RWMutex
+	methods map[string]method
 }
 
 // NewServant returns an empty servant.
 func NewServant() *Servant {
-	return &Servant{methods: make(map[string]Handler), metaMethods: make(map[string]MetaHandler)}
-}
-
-// Handle registers a raw method handler.
-func (s *Servant) Handle(method string, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.methods[method] = h
-}
-
-// HandleMeta registers a raw metadata-aware method handler.
-func (s *Servant) HandleMeta(method string, h MetaHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.metaMethods[method] = h
-}
-
-// dispatch runs one method.
-func (s *Servant) dispatch(method string, meta map[string]string, arg []byte) ([]byte, error) {
-	s.mu.RLock()
-	mh, mok := s.metaMethods[method]
-	h, ok := s.methods[method]
-	s.mu.RUnlock()
-	if mok {
-		return mh(meta, arg)
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoMethod, method)
-	}
-	return h(arg)
+	return &Servant{methods: make(map[string]method)}
 }
 
 // Method registers a typed method on a servant: the request and reply
 // types are gob-encoded across the wire.
 func Method[Req, Resp any](s *Servant, name string, f func(Req) (Resp, error)) {
-	s.Handle(name, func(arg []byte) ([]byte, error) {
-		var req Req
-		if err := gob.NewDecoder(bytes.NewReader(arg)).Decode(&req); err != nil {
-			return nil, fmt.Errorf("decode %s request: %w", name, err)
-		}
-		resp, err := f(req)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&resp); err != nil {
-			return nil, fmt.Errorf("encode %s reply: %w", name, err)
-		}
-		return buf.Bytes(), nil
-	})
+	MethodMeta(s, name, func(_ map[string]string, req Req) (Resp, error) { return f(req) })
 }
 
 // MethodMeta registers a typed method that also receives the request's
 // call metadata — the servant-side half of trace propagation (the
-// client sends metadata with InvokeMeta/CallMeta).
+// client sends metadata with InvokeMeta/CallMeta). meta is nil when the
+// caller sent none.
 func MethodMeta[Req, Resp any](s *Servant, name string, f func(meta map[string]string, req Req) (Resp, error)) {
-	s.HandleMeta(name, func(meta map[string]string, arg []byte) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.methods[name] = func(dec *gob.Decoder) (boundCall, error) {
 		var req Req
-		if err := gob.NewDecoder(bytes.NewReader(arg)).Decode(&req); err != nil {
+		if err := dec.Decode(&req); err != nil {
 			return nil, fmt.Errorf("decode %s request: %w", name, err)
 		}
-		resp, err := f(meta, req)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&resp); err != nil {
-			return nil, fmt.Errorf("encode %s reply: %w", name, err)
-		}
-		return buf.Bytes(), nil
-	})
+		return func(meta map[string]string) (any, error) { return f(meta, req) }, nil
+	}
 }
 
 // Server exports servants on a TCP endpoint.
@@ -238,7 +258,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn handles sequential requests on one connection.
+// serveConn reads request frames off one connection and runs each in
+// its own goroutine; replies go back as their handlers finish, in any
+// order, serialised by the connection's write lock. The read loop never
+// writes, so it never blocks behind a peer that is not reading.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -246,31 +269,77 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	w := newWire(conn)
 	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	var h requestHeader
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
+		h = requestHeader{} // gob leaves fields absent from the wire untouched
+		if err := dec.Decode(&h); err != nil {
 			return // EOF or broken peer
 		}
-		s.mu.RLock()
-		servant, ok := s.servants[req.Object]
-		s.mu.RUnlock()
-		var resp response
-		if !ok {
-			resp.AppErr = fmt.Sprintf("%v: %s", ErrNoObject, req.Object)
-		} else {
-			reply, err := servant.dispatch(req.Method, req.Meta, req.Arg)
-			if err != nil {
-				resp.AppErr = err.Error()
-			} else {
-				resp.Reply = reply
-			}
-		}
-		if err := enc.Encode(&resp); err != nil {
+		run := s.bind(&h, dec)
+		id, name, meta := h.ID, h.Method, h.Meta
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			resp, err := run(meta)
+			sendReply(w, id, name, resp, err)
+		}()
+	}
+}
+
+// sendReply writes the reply frame for request id: the result, or the
+// servant's error — which a result gob cannot encode becomes.
+func sendReply(w *wire, id uint64, name string, resp any, err error) {
+	if err == nil {
+		err = w.send(time.Time{}, &replyHeader{ID: id}, resp)
+		if err == nil {
 			return
 		}
+		if !errors.Is(err, errEncode) {
+			_ = w.conn.Close() // part of a frame may be out; the read loop ends on the close
+			return
+		}
+		err = fmt.Errorf("encode %s reply: %w", name, err)
 	}
+	if w.send(time.Time{}, &replyHeader{ID: id, Failed: true, AppErr: err.Error()}, nil) != nil {
+		_ = w.conn.Close()
+	}
+}
+
+// bind consumes the payload that follows request header h and returns
+// the call to run. An unknown object or method, or a payload that does
+// not decode as the method's request type, still consumes exactly one
+// value, so the stream stays in sync; it binds to a call that reports
+// the error.
+func (s *Server) bind(h *requestHeader, dec *gob.Decoder) boundCall {
+	m, err := s.lookup(h.Object, h.Method)
+	if err == nil {
+		var run boundCall
+		if run, err = m(dec); err == nil {
+			return run
+		}
+	} else if derr := dec.DecodeValue(reflect.Value{}); derr != nil { // discard the payload
+		err = derr
+	}
+	return func(map[string]string) (any, error) { return nil, err }
+}
+
+// lookup finds a registered method.
+func (s *Server) lookup(object, name string) (method, error) {
+	s.mu.RLock()
+	servant, ok := s.servants[object]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoObject, object)
+	}
+	servant.mu.RLock()
+	m, ok := servant.methods[name]
+	servant.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoMethod, name)
+	}
+	return m, nil
 }
 
 // Dialer opens transport connections; fault injectors substitute their
@@ -296,15 +365,6 @@ type ClientConfig struct {
 	// Clock paces the retry backoff. Default timers.WallClock; tests
 	// inject timers.FakeClock to drive retries without real sleeping.
 	Clock timers.Clock
-	// PerCallConn makes every invocation dial its own connection and
-	// run concurrently with other invocations on the same client,
-	// instead of pipelining over one cached connection under a mutex.
-	// Required when servant handlers can block server-side for long,
-	// caller-controlled periods (the simulation harness gates remote
-	// activations until the driver releases them): with a shared
-	// connection, a second concurrent invocation would queue behind the
-	// blocked one instead of reaching the server.
-	PerCallConn bool
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -332,20 +392,23 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
-// Client invokes servants on one endpoint. It keeps a single connection
-// and re-dials transparently after transport failures; a mutex serialises
-// invocations (the services' methods are coarse-grained, matching the
-// paper's CORBA service granularity).
+// Client invokes servants on one endpoint over one persistent
+// connection, dialled lazily and re-dialled after a transport failure.
+// Any number of goroutines may invoke concurrently: each call is a
+// tagged frame, the write lock is held only while a frame is encoded
+// and written, and one reader goroutine per connection routes replies
+// to their callers by ID, so N callers have N calls in flight and a
+// slow servant delays only its own caller.
 type Client struct {
 	addr string
 	cfg  ClientConfig
 
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	dialMu  sync.Mutex     // one dial at a time; never held together with mu
+	readers sync.WaitGroup // the connections' reader goroutines
 
-	// stats
+	mu      sync.Mutex
+	cc      *clientConn // nil until the first call and after a failure
+	closed  bool
 	retries int
 }
 
@@ -363,33 +426,71 @@ func (c *Client) Retries() int {
 	return c.retries
 }
 
-// Close drops the connection.
-func (c *Client) Close() {
+// Connected reports whether the client holds a live connection.
+func (c *Client) Connected() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reset()
+	return c.cc != nil && !c.cc.failed()
 }
 
-func (c *Client) reset() {
-	if c.conn != nil {
-		_ = c.conn.Close()
-		c.conn = nil
-		c.enc, c.dec = nil, nil
+// Close retires the client: the connection is closed, every pending
+// call fails with ErrClosed without being waited for, and later
+// invocations return ErrClosed instead of re-dialling. It returns once
+// the reader goroutine has exited.
+func (c *Client) Close() {
+	c.mu.Lock()
+	cc := c.cc
+	c.cc, c.closed = nil, true
+	c.mu.Unlock()
+	if cc != nil {
+		cc.fail(ErrClosed)
 	}
+	c.readers.Wait()
 }
 
-func (c *Client) ensureConn() error {
-	if c.conn != nil {
-		return nil
+// cached returns the live connection, or nil when there is none.
+func (c *Client) cached() (*clientConn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, ErrClosed
+	}
+	if c.cc != nil && c.cc.failed() {
+		c.cc = nil
+	}
+	return c.cc, nil
+}
+
+// conn returns the live connection, dialling one if there is none;
+// fresh reports that this call dialled it.
+func (c *Client) conn() (cc *clientConn, fresh bool, err error) {
+	if cc, err = c.cached(); cc != nil || err != nil {
+		return cc, false, err
+	}
+	c.dialMu.Lock()
+	defer c.dialMu.Unlock()
+	if cc, err = c.cached(); cc != nil || err != nil {
+		return cc, false, err // a concurrent caller dialled while this one waited
 	}
 	conn, err := c.cfg.Dialer(c.addr)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
-	return nil
+	cc = &clientConn{conn: conn, w: newWire(conn), pending: make(map[uint64]*call)}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		_ = conn.Close()
+		return nil, false, ErrClosed
+	}
+	c.cc = cc
+	c.readers.Add(1)
+	c.mu.Unlock()
+	go func() {
+		defer c.readers.Done()
+		cc.readLoop()
+	}()
+	return cc, true, nil
 }
 
 // Invoke calls object.method with the gob-encoded arg, decoding the reply
@@ -400,50 +501,10 @@ func (c *Client) Invoke(object, method string, arg, reply any) error {
 }
 
 // InvokeMeta is Invoke with out-of-band call metadata (trace
-// propagation). Servants registered with MethodMeta/HandleMeta receive
-// it; plain handlers ignore it.
+// propagation). Servants registered with MethodMeta receive it; plain
+// methods ignore it.
 func (c *Client) InvokeMeta(object, method string, meta map[string]string, arg, reply any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(arg); err != nil {
-		return fmt.Errorf("encode %s.%s request: %w", object, method, err)
-	}
-	req := request{Object: object, Method: method, Meta: meta, Arg: buf.Bytes()}
-	if c.cfg.PerCallConn {
-		return c.invokePerCall(&req, object, method, reply)
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			c.retries++
-			// The backoff deliberately holds the client mutex: the mutex
-			// serialises invocations, and a retrying call is the
-			// client's one in-flight invocation.
-			//wflint:allow locksafe client mutex serialises invocations; backoff is part of the one in-flight call
-			<-c.cfg.Clock.Wake(c.cfg.Clock.Now().Add(c.cfg.RetryDelay))
-		}
-		if err := c.ensureConn(); err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := c.attempt(&req)
-		if err != nil {
-			lastErr = err
-			c.reset()
-			continue
-		}
-		return decodeReply(object, method, resp, reply)
-	}
-	return fmt.Errorf("invoke %s.%s after %d attempts: %w", object, method, c.cfg.Retries+1, lastErr)
-}
-
-// invokePerCall runs one invocation over its own freshly dialed
-// connection, without holding the client mutex across the round-trip:
-// concurrent invocations on the same client proceed independently (see
-// ClientConfig.PerCallConn).
-func (c *Client) invokePerCall(req *request, object, method string, reply any) error {
+	h := requestHeader{Object: object, Method: method, Meta: meta}
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -452,75 +513,202 @@ func (c *Client) invokePerCall(req *request, object, method string, reply any) e
 			c.mu.Unlock()
 			<-c.cfg.Clock.Wake(c.cfg.Clock.Now().Add(c.cfg.RetryDelay))
 		}
-		conn, err := c.cfg.Dialer(c.addr)
-		if err != nil {
-			lastErr = err
-			continue
+		retry, err := c.attempt(&h, arg, reply)
+		if !retry || errors.Is(err, ErrClosed) {
+			return err
 		}
-		resp, err := attemptOn(conn, req, c.cfg.CallTimeout)
-		_ = conn.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return decodeReply(object, method, resp, reply)
+		lastErr = err
 	}
 	return fmt.Errorf("invoke %s.%s after %d attempts: %w", object, method, c.cfg.Retries+1, lastErr)
 }
 
-// decodeReply unpacks a transport-successful response into the caller's
-// reply value (servant errors surface as *AppError).
-func decodeReply(object, method string, resp *response, reply any) error {
-	if resp.AppErr != "" {
-		return &AppError{Msg: resp.AppErr}
-	}
-	if reply == nil {
-		return nil
-	}
-	if err := gob.NewDecoder(bytes.NewReader(resp.Reply)).Decode(reply); err != nil {
-		return fmt.Errorf("decode %s.%s reply: %w", object, method, err)
-	}
-	return nil
-}
-
-// attemptOn performs one round-trip over a dedicated connection.
-func attemptOn(conn net.Conn, req *request, timeout time.Duration) (*response, error) {
-	if timeout > 0 {
-		// Transport deadlines are kernel wall time: a live connection's
-		// I/O budget stays real even under a fake clock.
-		_ = conn.SetDeadline(timers.WallClock{}.Now().Add(timeout))
-	}
-	if err := gob.NewEncoder(conn).Encode(req); err != nil {
-		return nil, fmt.Errorf("send: %w", err)
-	}
-	var resp response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("recv: connection closed: %w", err)
-		}
-		return nil, fmt.Errorf("recv: %w", err)
-	}
-	return &resp, nil
-}
-
-// attempt performs one round-trip under the call timeout.
-func (c *Client) attempt(req *request) (*response, error) {
+// attempt performs one round trip under the call timeout. retry reports
+// a transport failure, which the caller may try again; otherwise err is
+// the call's outcome.
+func (c *Client) attempt(h *requestHeader, arg, reply any) (retry bool, err error) {
+	// Transport deadlines are kernel wall time: a live connection's I/O
+	// budget stays real even under a fake clock.
+	wall := timers.WallClock{}
+	var deadline time.Time
+	var timeout <-chan time.Time
 	if c.cfg.CallTimeout > 0 {
-		// Transport deadlines are kernel wall time: a live TCP
-		// connection's I/O budget stays real even under a fake clock.
-		_ = c.conn.SetDeadline(timers.WallClock{}.Now().Add(c.cfg.CallTimeout))
+		deadline = wall.Now().Add(c.cfg.CallTimeout)
+		timeout = wall.Wake(deadline)
 	}
-	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("recv: connection closed: %w", err)
+	var cc *clientConn
+	var cl *call
+	for {
+		var fresh bool
+		if cc, fresh, err = c.conn(); err != nil {
+			return true, err
 		}
-		return nil, fmt.Errorf("recv: %w", err)
+		if cl, err = cc.send(deadline, h, arg, reply); err == nil {
+			break
+		}
+		if errors.Is(err, errEncode) {
+			return false, fmt.Errorf("encode %s.%s request: %w", h.Object, h.Method, err)
+		}
+		if fresh {
+			return true, err
+		}
+		// The cached connection's peer went away while it idled: nothing
+		// of the frame was delivered, so this is not an attempt. Send it
+		// again on a fresh dial.
 	}
-	return &resp, nil
+	select {
+	case out := <-cl.done:
+		return out.transport, out.err
+	case <-timeout:
+		if cc.abandon(h.ID) {
+			// Only this call's ID is given up: the connection and its
+			// other calls carry on, and a late reply is dropped by ID.
+			return true, fmt.Errorf("recv: no reply within %v: %w", c.cfg.CallTimeout, os.ErrDeadlineExceeded)
+		}
+		out := <-cl.done // the reader is already delivering the reply
+		return out.transport, out.err
+	}
+}
+
+// call is one in-flight invocation awaiting its reply frame.
+type call struct {
+	reply any          // the caller's reply pointer; nil discards
+	done  chan outcome // buffered: the reader never blocks on a caller
+}
+
+// outcome is how a call ended; transport marks a connection-level
+// failure (retried) as opposed to the servant's verdict.
+type outcome struct {
+	err       error
+	transport bool
+}
+
+// clientConn is one dialled connection and its in-flight calls.
+type clientConn struct {
+	conn net.Conn
+	w    *wire
+
+	mu      sync.Mutex
+	pending map[uint64]*call
+	lastID  uint64
+	err     error // set once the connection has failed
+}
+
+func (cc *clientConn) failed() bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.err != nil
+}
+
+// send registers a call under a fresh ID (stored into h) and writes its
+// request frame. On error nothing stays registered; on a write error
+// the connection has been failed.
+func (cc *clientConn) send(deadline time.Time, h *requestHeader, arg, reply any) (*call, error) {
+	cl := &call{reply: reply, done: make(chan outcome, 1)}
+	cc.mu.Lock()
+	if cc.err != nil {
+		cc.mu.Unlock()
+		return nil, cc.err
+	}
+	cc.lastID++
+	h.ID = cc.lastID
+	cc.pending[h.ID] = cl
+	cc.mu.Unlock()
+	err := cc.w.send(deadline, h, arg)
+	switch {
+	case err == nil:
+		return cl, nil
+	case errors.Is(err, errEncode):
+		cc.abandon(h.ID)
+	default:
+		err = fmt.Errorf("send: %w", err)
+		cc.fail(err)
+	}
+	return nil, err
+}
+
+// abandon gives up a pending ID; false means the reader already claimed
+// it and is delivering its reply.
+func (cc *clientConn) abandon(id uint64) bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	_, ok := cc.pending[id]
+	delete(cc.pending, id)
+	return ok
+}
+
+// fail retires the connection: it is closed and every pending call ends
+// with err as a transport failure. Later calls are refused with err.
+func (cc *clientConn) fail(err error) {
+	cc.mu.Lock()
+	if cc.err != nil {
+		cc.mu.Unlock()
+		return
+	}
+	cc.err = err
+	pending := cc.pending
+	cc.pending = nil
+	cc.mu.Unlock()
+	_ = cc.conn.Close()
+	for _, cl := range pending {
+		cl.done <- outcome{err: err, transport: true}
+	}
+}
+
+// errReader remembers the transport's read error, which tells a reply
+// cut short by the connection from one that does not fit the caller's
+// reply type.
+type errReader struct {
+	r   io.Reader
+	err error
+}
+
+func (r *errReader) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	if err != nil {
+		r.err = err
+	}
+	return n, err
+}
+
+// readLoop routes reply frames to their callers until the connection
+// fails. It never writes and never blocks on a caller.
+func (cc *clientConn) readLoop() {
+	rd := &errReader{r: cc.conn}
+	dec := gob.NewDecoder(rd)
+	var h replyHeader
+	for {
+		h = replyHeader{} // gob leaves fields absent from the wire untouched
+		if err := dec.Decode(&h); err != nil {
+			cc.fail(fmt.Errorf("recv: %w", err))
+			return
+		}
+		cc.mu.Lock()
+		cl := cc.pending[h.ID] // nil: abandoned after a timeout, or a duplicated frame's second reply
+		delete(cc.pending, h.ID)
+		cc.mu.Unlock()
+		var out outcome
+		if h.Failed {
+			out.err = &AppError{Msg: h.AppErr}
+		} else {
+			var reply any
+			if cl != nil {
+				reply = cl.reply
+			}
+			// A nil reply skips the value.
+			if err := dec.Decode(reply); err != nil && rd.err != nil {
+				out = outcome{err: fmt.Errorf("recv: %w", err), transport: true}
+			} else if err != nil {
+				out.err = fmt.Errorf("decode reply: %w", err)
+			}
+		}
+		if cl != nil {
+			cl.done <- out
+		}
+		if out.transport {
+			cc.fail(out.err)
+			return
+		}
+	}
 }
 
 // Call is a typed convenience wrapper over Invoke.

@@ -101,14 +101,29 @@ func TestUnknownObjectAndMethod(t *testing.T) {
 	}
 }
 
+// TestClientRedialsAfterServerRestart kills the server with calls in
+// flight and restarts it on the same address ("services may be moved"):
+// every pending call sees a transport failure and completes through the
+// retry machinery on a fresh dial, and so does the next call.
 func TestClientRedialsAfterServerRestart(t *testing.T) {
 	srv, err := orb.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
+	const inflight = 3
+	entered := make(chan struct{}, inflight)
+	release := make(chan struct{})
 	sv := orb.NewServant()
 	orb.Method(sv, "echo", func(req echoReq) (echoResp, error) {
+		return echoResp{N: req.N + 1}, nil
+	})
+	orb.Method(sv, "hold", func(req echoReq) (echoResp, error) {
+		select {
+		case entered <- struct{}{}:
+		default: // a retried call, after the restart
+		}
+		<-release
 		return echoResp{N: req.N + 1}, nil
 	})
 	srv.Register("echo-object", sv)
@@ -118,9 +133,24 @@ func TestClientRedialsAfterServerRestart(t *testing.T) {
 	if _, err := orb.Call[echoReq, echoResp](c, "echo-object", "echo", echoReq{N: 1}); err != nil {
 		t.Fatal(err)
 	}
+	held := make(chan error, inflight)
+	for k := 0; k < inflight; k++ {
+		go func(k int) {
+			resp, err := orb.Call[echoReq, echoResp](c, "echo-object", "hold", echoReq{N: k})
+			if err == nil && resp.N != k+1 {
+				err = fmt.Errorf("held call %d got %+v", k, resp)
+			}
+			held <- err
+		}(k)
+	}
+	for k := 0; k < inflight; k++ {
+		<-entered
+	}
 
-	// Kill the server and restart on the same address; the client's next
-	// call must succeed via redial ("services may be moved").
+	// Kill the server under the held calls and restart on the same
+	// address.
+	srv.Sever()
+	close(release)
 	srv.Close()
 	restarted := make(chan *orb.Server, 1)
 	go func() {
@@ -147,8 +177,13 @@ func TestClientRedialsAfterServerRestart(t *testing.T) {
 	if resp.N != 11 {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if c.Retries() == 0 {
-		t.Error("expected at least one transport retry across the restart")
+	for k := 0; k < inflight; k++ {
+		if err := <-held; err != nil {
+			t.Errorf("call in flight across the restart: %v", err)
+		}
+	}
+	if got := c.Retries(); got < inflight {
+		t.Errorf("retries = %d, want at least one per call that was in flight (%d)", got, inflight)
 	}
 }
 

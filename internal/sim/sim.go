@@ -485,12 +485,12 @@ func (w *World) bootCoordinator(i int, recovering bool) error {
 			// a gated activation legitimately holds its call open until
 			// the driver releases it, and a wall-time deadline firing
 			// under a loaded machine would inject a nondeterministic
-			// failover. PerCallConn: concurrent dispatches to one
-			// executor must gate concurrently, not queue behind a shared
-			// connection (the barrier counts a queued dispatch as
-			// in-flight but ungated and would never quiesce).
+			// failover. Concurrent dispatches to one executor share its
+			// one multiplexed connection and gate concurrently on the
+			// server (the barrier needs every in-flight dispatch gated;
+			// none queues behind another).
 			Client: orb.ClientConfig{
-				Retries: -1, CallTimeout: -1, PerCallConn: true,
+				Retries: -1, CallTimeout: -1,
 				Dialer: w.net.Dial, Clock: w.clock,
 			},
 			Balance: taskexec.BalanceHash,

@@ -51,8 +51,8 @@ type PoolConfig struct {
 	// 0 tries every resolved member.
 	MaxFailover int
 	// ResolveCache caches a location's resolved member set for this
-	// long, so dispatch rate is not capped by round-trips to a remote
-	// naming service (one mutex-serialised RPC per dispatch otherwise).
+	// long, so a dispatch does not pay a round trip to a remote naming
+	// service first.
 	// A failed refresh falls back to the last known set — a naming
 	// service restart does not stop dispatch to cached members. 0
 	// disables caching (every dispatch re-resolves; right for
@@ -98,8 +98,9 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
-// endpoint is the per-address dispatch state: the cached client (nil
-// after an eviction), the health view, and the dispatch instruments.
+// endpoint is the per-address dispatch state: the client (one shared,
+// multiplexed connection that re-dials itself after a failure), the
+// health view, and the dispatch instruments.
 // The counters live in the pool's metrics registry (labelled by
 // endpoint address) — Stats() is a snapshot view over them, and a
 // pruned-then-recreated endpoint resumes its counts instead of
@@ -132,8 +133,8 @@ type EndpointStats struct {
 	Failures int64
 	// Inflight is the number of dispatches currently outstanding.
 	Inflight int
-	// Connected reports whether a client is cached for the endpoint
-	// (false after a failure evicted it).
+	// Connected reports whether the endpoint's client holds a live
+	// connection (false until the first dispatch and after a failure).
 	Connected bool
 	// Blacklisted reports whether the endpoint is currently
 	// deprioritised.
@@ -155,7 +156,7 @@ func (inv *Invoker) Stats() []EndpointStats {
 			Dispatched:  ep.mDispatched.Value(),
 			Failures:    ep.mFailures.Value(),
 			Inflight:    int(ep.mInflight.Value()),
-			Connected:   ep.client != nil,
+			Connected:   ep.client.Connected(),
 			Blacklisted: ep.blacklistedUntil.After(now),
 		})
 	}
@@ -170,14 +171,13 @@ func (inv *Invoker) Stats() []EndpointStats {
 // BalanceHash seeds its rotation with; the other strategies ignore it.
 func (inv *Invoker) plan(addrs []string, key string) []string {
 	inv.mu.Lock()
-	defer inv.mu.Unlock()
 	now := inv.cfg.now()
 	for _, addr := range addrs {
 		if ep, ok := inv.endpoints[addr]; ok {
 			ep.lastSeen = now
 		}
 	}
-	inv.pruneStale(now)
+	stale := inv.pruneStale(now)
 	ordered := make([]string, len(addrs))
 	copy(ordered, addrs)
 	switch inv.cfg.Balance {
@@ -212,25 +212,24 @@ func (inv *Invoker) plan(addrs []string, key string) []string {
 		}
 		healthy = append(healthy, addr)
 	}
+	inv.mu.Unlock()
+	for _, c := range stale {
+		c.Close()
+	}
 	return append(healthy, benched...)
 }
 
 // pruneStale drops idle endpoints that no resolve set has mentioned
-// for endpointEvictAfter (their clients, if any, are closed out of
-// band). Callers hold mu.
-func (inv *Invoker) pruneStale(now time.Time) {
+// for endpointEvictAfter and returns their clients for the caller to
+// close once it has released mu. Callers hold mu.
+func (inv *Invoker) pruneStale(now time.Time) (stale []*orb.Client) {
 	for addr, ep := range inv.endpoints {
 		if ep.mInflight.Value() == 0 && !ep.lastSeen.IsZero() && now.Sub(ep.lastSeen) > endpointEvictAfter {
-			if ep.client != nil {
-				// Bounded: Close only waits out the client's current
-				// invocation. Detaching keeps the pool lock free.
-				//wflint:allow goroutinestop bounded detached Close; waits at most one in-flight invocation
-				go ep.client.Close()
-				ep.client = nil
-			}
+			stale = append(stale, ep.client)
 			delete(inv.endpoints, addr)
 		}
 	}
+	return stale
 }
 
 // inflightOf reads an endpoint's inflight count; unknown endpoints are
@@ -242,16 +241,20 @@ func (inv *Invoker) inflightOf(addr string) int {
 	return 0
 }
 
-// acquire returns (creating if needed) the endpoint and its client,
-// counting the dispatch as inflight.
-func (inv *Invoker) acquire(addr string) (*endpoint, *orb.Client) {
+// acquire returns (creating if needed) the endpoint, counting the
+// dispatch as inflight; nil once the invoker is closed.
+func (inv *Invoker) acquire(addr string) *endpoint {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
+	if inv.closed {
+		return nil
+	}
 	ep, ok := inv.endpoints[addr]
 	if !ok {
 		reg := inv.cfg.Metrics
 		ep = &endpoint{
 			addr:        addr,
+			client:      orb.Dial(addr, inv.cfg.Client),
 			lastSeen:    inv.cfg.now(),
 			mDispatched: reg.Counter(obs.MTaskDispatches, "endpoint", addr),
 			mFailures:   reg.Counter(obs.MTaskFailures, "endpoint", addr),
@@ -259,44 +262,24 @@ func (inv *Invoker) acquire(addr string) (*endpoint, *orb.Client) {
 		}
 		inv.endpoints[addr] = ep
 	}
-	if ep.client == nil {
-		ep.client = orb.Dial(addr, inv.cfg.Client)
-	}
 	ep.mInflight.Add(1)
 	ep.mDispatched.Inc()
-	return ep, ep.client
+	return ep
 }
 
-// release ends one dispatch. On failure the endpoint's cached client is
-// evicted (a restarted executor gets a fresh dial; the dead connection
-// is not held forever) and the endpoint is temporarily blacklisted so
-// the next dispatches prefer surviving members.
+// release ends one dispatch. On failure the endpoint is temporarily
+// blacklisted so the next dispatches prefer surviving members. Its
+// client stays: the connection is shared with sibling dispatches whose
+// calls may be healthy, and a connection that did fail has already been
+// dropped by the client, which re-dials on the next call (a restarted
+// executor gets a fresh connection; a dead one holds none).
 func (inv *Invoker) release(ep *endpoint, failed bool) {
 	inv.mu.Lock()
+	defer inv.mu.Unlock()
 	ep.mInflight.Add(-1)
-	var evicted *orb.Client
 	if failed {
 		ep.mFailures.Inc()
 		ep.blacklistedUntil = inv.cfg.now().Add(inv.cfg.BlacklistFor)
-		evicted, ep.client = ep.client, nil
-	}
-	inv.mu.Unlock()
-	if evicted != nil {
-		// Close outside the pool lock: Close waits for the client's
-		// in-flight invocation (if any) to finish.
-		//wflint:allow goroutinestop bounded detached Close; waits at most one in-flight invocation
-		go evicted.Close()
-	}
-}
-
-// singleResolver adapts the legacy one-endpoint Resolver.
-func singleResolver(resolve Resolver) SetResolver {
-	return func(location string) ([]string, error) {
-		addr, err := resolve(location)
-		if err != nil {
-			return nil, err
-		}
-		return []string{addr}, nil
 	}
 }
 

@@ -163,16 +163,12 @@ func runSafely(f registry.Func, ctx registry.Context) (res registry.Result, err 
 	return f(ctx)
 }
 
-// Resolver maps a location name to a single endpoint address; kept for
-// single-endpoint deployments (see SetResolver in pool.go for
-// pool-aware resolution).
-type Resolver func(location string) (string, error)
-
 // Invoker is the engine-side dispatcher: it resolves a task's location
 // to the set of executor endpoints currently serving it, balances
 // activations across the set (round-robin or least-inflight), tracks
-// per-endpoint health (failed members are evicted and temporarily
-// blacklisted) and fails a dispatch over to surviving members before
+// per-endpoint health (failed members are temporarily blacklisted; each
+// endpoint's one multiplexed orb connection carries all its concurrent
+// activations and re-dials itself) and fails a dispatch over to surviving members before
 // surfacing a system-level failure to the engine's retry/abort mapping.
 type Invoker struct {
 	resolveSet SetResolver
@@ -188,31 +184,18 @@ type Invoker struct {
 	closed    bool
 }
 
-// NewInvoker builds an engine.RemoteInvoker-compatible dispatcher over a
-// single-endpoint resolver (a pool of one per location).
-func NewInvoker(resolve Resolver, cfg orb.ClientConfig) *Invoker {
-	inv, err := NewPoolInvoker(singleResolver(resolve), PoolConfig{Client: cfg})
-	if err != nil {
-		// Unreachable: the zero Balance is always valid.
-		panic(err)
-	}
-	return inv
-}
-
-// Close drops every cached client and retires the invoker: dispatches
-// that wake after Close — including one mid-failover whose current
-// member just died — stop instead of re-running the activation on the
-// next member. Without this, a dispatch abandoned by its (shut down)
-// owner could keep re-dispatching on someone else's executors.
+// Close closes every endpoint's client and retires the invoker: calls
+// in flight fail at once with orb.ErrClosed, and dispatches that wake
+// after Close — including one mid-failover whose current member just
+// died — stop instead of re-running the activation on the next member.
+// Without this, a dispatch abandoned by its (shut down) owner could keep
+// re-dispatching on someone else's executors.
 func (inv *Invoker) Close() {
 	inv.mu.Lock()
 	inv.closed = true
 	clients := make([]*orb.Client, 0, len(inv.endpoints))
 	for _, ep := range inv.endpoints {
-		if ep.client != nil {
-			clients = append(clients, ep.client)
-			ep.client = nil
-		}
+		clients = append(clients, ep.client)
 	}
 	inv.endpoints = make(map[string]*endpoint)
 	inv.mu.Unlock()
@@ -241,10 +224,8 @@ func (inv *Invoker) Invoke(req engine.RemoteRequest) (registry.Result, error) {
 	}
 	var lastErr error
 	for nth, addr := range order {
-		inv.mu.Lock()
-		closed := inv.closed
-		inv.mu.Unlock()
-		if closed {
+		ep := inv.acquire(addr)
+		if ep == nil {
 			if lastErr == nil {
 				lastErr = errors.New("invoker closed")
 			}
@@ -270,8 +251,7 @@ func (inv *Invoker) Invoke(req engine.RemoteRequest) (registry.Result, error) {
 			}
 			meta = map[string]string{"trace-id": req.TraceID, "span-id": sp.SpanID}
 		}
-		ep, client := inv.acquire(addr)
-		resp, err := orb.CallMeta[executeReq, executeResp](client, ObjectName, "execute", meta, executeReq{
+		resp, err := orb.CallMeta[executeReq, executeResp](ep.client, ObjectName, "execute", meta, executeReq{
 			Code: req.Code, Instance: req.Instance, TaskPath: req.TaskPath,
 			InputSet: req.InputSet, Attempt: req.Attempt, Iteration: req.Iteration,
 			Inputs: req.Inputs,

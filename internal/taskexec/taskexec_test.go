@@ -77,7 +77,10 @@ func newWorld(t *testing.T) *world {
 	naming := orb.NewNaming()
 	naming.BindEntry("worker-1", execSrv.Addr())
 
-	invoker := taskexec.NewInvoker(naming.Resolve, orb.ClientConfig{})
+	invoker, err := taskexec.NewPoolInvoker(naming.ResolveAll, taskexec.PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(invoker.Close)
 
 	st := store.NewMemStore()
@@ -162,14 +165,19 @@ func TestRemoteExecutorMovedHealedByRetry(t *testing.T) {
 	execSrv.Register(taskexec.ObjectName, taskexec.NewExecutor(remoteImpls).Servant())
 
 	calls := 0
-	resolver := func(location string) (string, error) {
+	resolver := func(location string) ([]string, error) {
 		calls++
 		if calls == 1 {
-			return "127.0.0.1:1", nil // nothing listens here
+			return []string{"127.0.0.1:1"}, nil // nothing listens here
 		}
-		return execSrv.Addr(), nil
+		return []string{execSrv.Addr()}, nil
 	}
-	invoker := taskexec.NewInvoker(resolver, orb.ClientConfig{Retries: 1, RetryDelay: time.Millisecond})
+	invoker, err := taskexec.NewPoolInvoker(resolver, taskexec.PoolConfig{
+		Client: orb.ClientConfig{Retries: 1, RetryDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer invoker.Close()
 
 	st := store.NewMemStore()
