@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test lint wflint race flake cover bench bench-baseline bench-gate e2e e2e-shard e2e-diskfault gauntlet sim golden
+.PHONY: check fmt vet build test lint wflint race flake cover bench bench-baseline bench-gate e2e e2e-shard e2e-diskfault gauntlet sim golden fuzz
 
 check: lint build test bench
 
@@ -124,6 +124,15 @@ e2e-diskfault:
 sim:
 	$(GO) run ./cmd/wfsim run scenarios/*.scn
 	$(GO) test ./internal/sim
+
+# Native fuzzing of the durable record codec, 10 s per target (go
+# test fuzzes one target per run). Plain `go test` already replays the
+# checked-in corpora under testdata/fuzz; this searches for new inputs.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeRunState$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeMeta$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeDelay$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeSchedule$$' -fuzztime 10s ./internal/execsvc
 
 # Refresh the checked-in golden traces after an intended behavior
 # change; the resulting diff is the review artifact.

@@ -75,7 +75,7 @@ func (e *Engine) recoverLocked(id string, compile SchemaCompiler, cause string) 
 // Callers hold e.mu.
 func (e *Engine) loadInstanceLocked(id string, compile SchemaCompiler) (*Instance, error) {
 	var meta instanceMeta
-	if err := e.preg.Object(metaKey(id)).Peek(&meta); err != nil {
+	if err := e.preg.Peek(metaKey(id), &meta); err != nil {
 		return nil, fmt.Errorf("recover %s: %w", id, err)
 	}
 	if meta.TraceID == "" {
@@ -97,7 +97,7 @@ func (e *Engine) loadInstanceLocked(id string, compile SchemaCompiler) (*Instanc
 	// Re-apply persisted reconfigurations in order.
 	for seq := 0; seq < meta.ReconfigSeq; seq++ {
 		var rec reconfigRecord
-		if err := e.preg.Object(reconfigKey(id, seq)).Peek(&rec); err != nil {
+		if err := e.preg.Peek(reconfigKey(id, seq), &rec); err != nil {
 			return nil, fmt.Errorf("recover %s: reconfig %d: %w", id, seq, err)
 		}
 		for _, op := range rec.Ops {
@@ -121,7 +121,7 @@ func (e *Engine) loadInstanceLocked(id string, compile SchemaCompiler) (*Instanc
 	}
 	for _, sid := range ids {
 		var st runState
-		if err := e.preg.Object(sid).Peek(&st); err != nil {
+		if err := e.preg.Peek(sid, &st); err != nil {
 			return nil, fmt.Errorf("recover %s: run %s: %w", id, sid, err)
 		}
 		task := schema.Lookup(st.Path)

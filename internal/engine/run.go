@@ -174,9 +174,11 @@ type instanceMeta struct {
 	TraceID string
 }
 
-// Register payload types commonly carried by Values so run states survive
-// gob encoding. Applications register their own concrete types the same
-// way.
+// Register payload types commonly carried by Values with gob: Values
+// cross the orb wire as gob, and run states written before the record
+// codec are gob streams. The codec (persist.AppendObjects) tags exactly
+// this set; applications register their own concrete types the same way,
+// and the codec carries those as one gob value each.
 func init() { //nolint:gochecknoinits // gob type registration is the documented use of init
 	gob.Register("")
 	gob.Register(0)

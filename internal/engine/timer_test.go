@@ -520,6 +520,13 @@ compoundtask app of taskclass App
 	// First activation times out, is retried once, times out again.
 	clock.Advance(150 * time.Millisecond)
 	waitEventKind(t, inst, engine.EventTaskRetried)
+	// The retry event is emitted before the retried activation arms its
+	// deadline; advancing in between would arm it past the advance.
+	for start := time.Now(); r.eng.Timers().Pending() != 1; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("retried activation never armed its deadline")
+		}
+	}
 	clock.Advance(150 * time.Millisecond)
 	waitEventKind(t, inst, engine.EventTaskFailed)
 }

@@ -205,7 +205,7 @@ func (i *Instance) rearmTimers() error {
 	}
 	for _, sid := range ids {
 		var rec delayRec
-		if err := i.eng.preg.Object(sid).Peek(&rec); err != nil {
+		if err := i.eng.preg.Peek(sid, &rec); err != nil {
 			return fmt.Errorf("timer record %s: %w", sid, err)
 		}
 		r, ok := i.runs[rec.Path]

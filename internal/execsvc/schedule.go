@@ -1,8 +1,6 @@
 package execsvc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/internal/timers"
@@ -56,6 +55,51 @@ type Schedule struct {
 	Done bool
 	// LastErr records the most recent spawn failure, for diagnostics.
 	LastErr string
+}
+
+var _ persist.Record = (*Schedule)(nil)
+
+// AppendRecord implements persist.Record: the schedule's durable layout,
+// fields in declaration order. Records written before it existed are
+// gob and still read back (persist.Decode).
+func (e Schedule) AppendRecord(b []byte) ([]byte, error) {
+	b = persist.AppendString(b, e.Name)
+	b = persist.AppendString(b, e.Schema)
+	b = persist.AppendString(b, e.Root)
+	b = persist.AppendString(b, e.Set)
+	b, err := persist.AppendObjects(b, e.Inputs)
+	if err != nil {
+		return nil, err
+	}
+	b = persist.AppendInt64(b, int64(e.After))
+	b = persist.AppendInt64(b, int64(e.Every))
+	b = persist.AppendInt(b, e.MaxRuns)
+	if b, err = persist.AppendTime(b, e.NextAt); err != nil {
+		return nil, err
+	}
+	b = persist.AppendInt(b, e.Fired)
+	b = persist.AppendBool(b, e.Done)
+	return persist.AppendString(b, e.LastErr), nil
+}
+
+// ReadRecord implements persist.Record.
+func (e *Schedule) ReadRecord(data []byte) error {
+	r := persist.NewRecordReader(data)
+	*e = Schedule{
+		Name:    r.Str(),
+		Schema:  r.Str(),
+		Root:    r.Str(),
+		Set:     r.Str(),
+		Inputs:  r.Objects(),
+		After:   time.Duration(r.Int64()),
+		Every:   time.Duration(r.Int64()),
+		MaxRuns: r.Int(),
+		NextAt:  r.Time(),
+		Fired:   r.Int(),
+		Done:    r.Bool(),
+		LastErr: r.Str(),
+	}
+	return r.Finish()
 }
 
 // schedKey is the store ID of a schedule's persistent record.
@@ -185,7 +229,7 @@ func (s *Scheduler) Recover() (int, error) {
 			return n, fmt.Errorf("schedule %s: %w", id, err)
 		}
 		var e Schedule
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+		if err := persist.Decode(data, &e); err != nil {
 			return n, fmt.Errorf("schedule %s: %w", id, err)
 		}
 		s.entries[e.Name] = &e
@@ -223,11 +267,11 @@ func (s *Scheduler) armLocked(e *Schedule) {
 // persistLocked writes the schedule record to the store (schedules are
 // service state, not instance state: one atomic Write each).
 func (s *Scheduler) persistLocked(e *Schedule) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
+	data, err := persist.Encode(e)
+	if err != nil {
 		return fmt.Errorf("encode schedule %s: %w", e.Name, err)
 	}
-	if err := s.st.Write(schedKey(e.Name), buf.Bytes()); err != nil {
+	if err := s.st.Write(schedKey(e.Name), data); err != nil {
 		return fmt.Errorf("persist schedule %s: %w", e.Name, err)
 	}
 	return nil

@@ -36,7 +36,7 @@ func (b *Batch) Len() int { return len(b.ops) }
 // Set stages v as the new state of the object with the given ID,
 // replacing any earlier staging of the same ID.
 func (b *Batch) Set(id store.ID, v any) error {
-	data, err := encode(v)
+	data, err := Encode(v)
 	if err != nil {
 		return fmt.Errorf("batch set %s: %w", id, err)
 	}

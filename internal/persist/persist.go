@@ -9,11 +9,16 @@
 // dependencies" (Section 3). The engine stores every task-instance state
 // and dependency record as one of these objects, which is what makes
 // crash recovery and transactional reconfiguration work.
+//
+// A state is stored as the bytes Encode makes of it: a versioned binary
+// record for types that implement Record (the engine's run states,
+// instance metas and timer records, the execution service's schedules),
+// gob for any other type. Decode reads both, and reads the gob states
+// that trees older than the record codec wrote for every type (see
+// codec.go for the format).
 package persist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -76,6 +81,20 @@ func (r *Registry) Object(id store.ID) *Object {
 	return o
 }
 
+// Peek reads the committed state of the object with the given ID into v,
+// without locks, transactions or a handle: Object(id).Peek(v) without
+// leaving the handle behind. Recovery and read-only services use it.
+func (r *Registry) Peek(id store.ID, v any) error {
+	data, err := r.st.Read(id)
+	if errors.Is(err, store.ErrNotFound) {
+		return fmt.Errorf("peek %s: %w", id, ErrNoState)
+	}
+	if err != nil {
+		return err
+	}
+	return Decode(data, v)
+}
+
 // Recover replays the write-ahead log into the store after a crash (see
 // txn.Manager.Recover) and drops all volatile handles so states reload
 // from disk. It returns the number of transactions rolled forward.
@@ -117,22 +136,6 @@ var _ txn.NestedResource = (*Object)(nil)
 // ID returns the object's store ID.
 func (o *Object) ID() store.ID { return o.id }
 
-// encode gob-encodes v.
-func encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("encode state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("decode state: %w", err)
-	}
-	return nil
-}
-
 // Get loads the object's state into v as seen by tx: the nearest pending
 // state in the transaction's ancestry, else the committed state. It takes
 // a read lock for the transaction family.
@@ -153,7 +156,7 @@ func (o *Object) Get(tx *txn.Txn, v any) error {
 			if data == nil {
 				return fmt.Errorf("get %s: %w", o.id, ErrNoState)
 			}
-			return decode(data, v)
+			return Decode(data, v)
 		}
 	}
 	o.mu.Unlock()
@@ -164,7 +167,7 @@ func (o *Object) Get(tx *txn.Txn, v any) error {
 	if err != nil {
 		return err
 	}
-	return decode(data, v)
+	return Decode(data, v)
 }
 
 // GetForUpdate loads the object's state like Get but takes the write
@@ -190,7 +193,7 @@ func (o *Object) GetForUpdate(tx *txn.Txn, v any) error {
 			if data == nil {
 				return fmt.Errorf("get %s: %w", o.id, ErrNoState)
 			}
-			return decode(data, v)
+			return Decode(data, v)
 		}
 	}
 	o.mu.Unlock()
@@ -201,21 +204,12 @@ func (o *Object) GetForUpdate(tx *txn.Txn, v any) error {
 	if err != nil {
 		return err
 	}
-	return decode(data, v)
+	return Decode(data, v)
 }
 
 // Peek reads the committed state without locks or transactions; used by
 // monitoring endpoints that tolerate stale reads.
-func (o *Object) Peek(v any) error {
-	data, err := o.reg.st.Read(o.id)
-	if errors.Is(err, store.ErrNotFound) {
-		return fmt.Errorf("peek %s: %w", o.id, ErrNoState)
-	}
-	if err != nil {
-		return err
-	}
-	return decode(data, v)
-}
+func (o *Object) Peek(v any) error { return o.reg.Peek(o.id, v) }
 
 // Exists reports whether the object has a state visible to tx.
 func (o *Object) Exists(tx *txn.Txn) (bool, error) {
@@ -239,7 +233,7 @@ func (o *Object) Set(tx *txn.Txn, v any) error {
 	if tx == nil {
 		return errors.New("set outside transaction")
 	}
-	data, err := encode(v)
+	data, err := Encode(v)
 	if err != nil {
 		return err
 	}

@@ -102,7 +102,7 @@ func (s *Service) Put(name, source string) (int, error) {
 // Get returns the current version entry of the named schema.
 func (s *Service) Get(name string) (Entry, error) {
 	var m meta
-	if err := s.reg.Object(metaID(name)).Peek(&m); err != nil {
+	if err := s.reg.Peek(metaID(name), &m); err != nil {
 		if errors.Is(err, persist.ErrNoState) {
 			return Entry{}, fmt.Errorf("get schema %s: %w", name, ErrNoSchema)
 		}
@@ -114,7 +114,7 @@ func (s *Service) Get(name string) (Entry, error) {
 // GetVersion returns a specific version entry.
 func (s *Service) GetVersion(name string, version int) (Entry, error) {
 	var e Entry
-	if err := s.reg.Object(versionID(name, version)).Peek(&e); err != nil {
+	if err := s.reg.Peek(versionID(name, version), &e); err != nil {
 		if errors.Is(err, persist.ErrNoState) {
 			return Entry{}, fmt.Errorf("get schema %s v%d: %w", name, version, ErrNoSchema)
 		}
@@ -126,7 +126,7 @@ func (s *Service) GetVersion(name string, version int) (Entry, error) {
 // Compile returns the compiled current version, from cache when fresh.
 func (s *Service) Compile(name string) (*core.Schema, error) {
 	var m meta
-	if err := s.reg.Object(metaID(name)).Peek(&m); err != nil {
+	if err := s.reg.Peek(metaID(name), &m); err != nil {
 		if errors.Is(err, persist.ErrNoState) {
 			return nil, fmt.Errorf("compile schema %s: %w", name, ErrNoSchema)
 		}
@@ -179,7 +179,7 @@ func (s *Service) List() ([]string, error) {
 // History returns the version numbers stored for a schema.
 func (s *Service) History(name string) ([]int, error) {
 	var m meta
-	if err := s.reg.Object(metaID(name)).Peek(&m); err != nil {
+	if err := s.reg.Peek(metaID(name), &m); err != nil {
 		if errors.Is(err, persist.ErrNoState) {
 			return nil, fmt.Errorf("history %s: %w", name, ErrNoSchema)
 		}
