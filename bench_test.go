@@ -8,7 +8,6 @@ import (
 	"repro/internal/script/parser"
 	"repro/internal/script/sema"
 	"repro/internal/scripts"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -317,96 +316,6 @@ func BenchmarkSchedulerFanIn(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkAblationPersistence isolates the cost of the paper's central
-// design decision — recording dependency state in persistent objects
-// under transactions — by comparing ephemeral, memory-store and
-// file-store configurations on the same workload.
-func BenchmarkAblationPersistence(b *testing.B) {
-	configs := []struct {
-		name      string
-		ephemeral bool
-		file      bool
-	}{
-		{"ephemeral", true, false},
-		{"memstore", false, false},
-		{"filestore", false, true},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			var st store.Store
-			if cfg.file {
-				fs, err := experiments.NewFileStoreEnv(b.TempDir())
-				if err != nil {
-					b.Fatal(err)
-				}
-				st = fs
-			} else {
-				st = store.NewMemStore()
-			}
-			f, err := experiments.AblationEnv(st, cfg.ephemeral)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPersistChain isolates durable-persistence cost on a deep
-// chain with fsync ENABLED (unlike BenchmarkAblationPersistence, which
-// disables it): the shadow-file FileStore vs the group-commit WALStore,
-// each under per-transition transactions (legacy) and batched-per-drain
-// persistence. The wal/batched configuration must beat file/per-transition
-// by well over 5x on the 1k chain — durability cost scales with commit
-// batches, not transitions.
-func BenchmarkPersistChain(b *testing.B) {
-	modes := []struct {
-		name          string
-		perTransition bool
-	}{
-		{"batched", false},
-		{"per-transition", true},
-	}
-	for _, n := range []int{100, 1000} {
-		for _, backend := range []string{"file", "wal"} {
-			for _, mode := range modes {
-				b.Run(fmt.Sprintf("tasks=%d/%s/%s", n, backend, mode.name), func(b *testing.B) {
-					p, err := experiments.NewPersistChain(backend, mode.perTransition, n, b.TempDir())
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer p.Close()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := p.Run(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkAblationTxn measures the raw transactional substrate: one
-// read-modify-write cycle on a persistent atomic object.
-func BenchmarkAblationTxn(b *testing.B) {
-	reg := experiments.NewPersistRegistry()
-	obj := reg.Object("bench/counter")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := experiments.TxnThroughput(reg, obj); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

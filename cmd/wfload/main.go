@@ -1,59 +1,32 @@
-// Command wfload is a closed-loop load generator for the distributed
-// executor fabric: N concurrent workers each run complete located
-// workflow instances (a chain of remote-dispatched stages) back to
-// back, and the tool reports instances/sec, remote-activation latency
-// percentiles, and the per-endpoint dispatch distribution.
+// Command wfload is a closed-loop load generator for real daemons: N
+// concurrent workers each run complete workflow instances (a chain of
+// stages) back to back, and the tool reports instances/sec. It has two
+// modes, both resolved through a naming service:
 //
-// Two modes:
-//
-//   - Self-hosted (default): boots M in-process executor nodes and
-//     drives them — a one-command scaling probe.
-//
-//     wfload -execs 4 -workers 8 -total 200 -chain 4 -delay 2ms
-//
-//   - External: resolves an executor pool through a naming service
-//     (members registered by cmd/wftask) and drives those nodes over
-//     TCP. The chain stages use a builtin implementation code, so plain
-//     wftask executors can serve them.
+//   - Executor pool: resolves the pool registered under -location (by
+//     cmd/wftask members) and drives it from an in-process engine over
+//     TCP, reporting remote-activation latency percentiles and the
+//     per-endpoint dispatch distribution. The chain stages use a builtin
+//     implementation code, so plain wftask executors can serve them.
+//     Flags -balance (roundrobin|leastinflight) and -gate (max
+//     concurrent remote dispatches per instance) expose the pool
+//     balancing strategy and the engine's backpressure gate.
 //
 //     wfload -naming 127.0.0.1:7000 -location workers -code sleep:2ms:done
 //
-// Flags -balance (roundrobin|leastinflight) and -gate (max concurrent
-// remote dispatches per instance) expose the pool balancing strategy
-// and the engine's backpressure gate. -kill N hard-stops the N-th
-// self-hosted executor halfway through the run to demonstrate failover.
-//
-// A third mode drives the temporal subsystem instead of executor pools:
-// -timer D replaces the located chain with a chain of first-class delay
-// tasks (the engine's durable timing wheel fires every stage; no
-// implementation code runs at all), so the closed loop measures S4-style
-// timer-heavy workloads:
-//
-//	wfload -timer 2ms -chain 8 -workers 64 -total 500
-//
-// Two further modes drive the sharded coordinator tier instead of a
-// single engine:
-//
-//   - -coordinators N boots N in-process sharded coordinators (lease-
-//     arbitrated partition ownership over shared partition stores) and
-//     drives them through the routing client; -kill-coordinator I
-//     crashes coordinator I at the run's midpoint and reports the
-//     failover latency. A one-command shard-failover probe:
-//
-//     wfload -coordinators 2 -kill-coordinator 0 -workers 8 -total 200
-//
-//   - -sharded (with -naming) drives an external wfexec -shard tier:
-//     the workload schema is deployed to the repository resolved
-//     through the naming service and every instance is routed to its
-//     partition's current lease holder. This is the driver of the
-//     scripts/e2e_shardkill.sh CI gauntlet; the tool exits non-zero
-//     unless every instance completes, however many coordinators die
-//     mid-run.
+//   - -sharded drives an external wfexec -shard coordinator tier: the
+//     workload schema is deployed to the repository resolved through the
+//     naming service and every instance is routed to its partition's
+//     current lease holder. This is the driver of the
+//     scripts/e2e_shardkill.sh and scripts/e2e_diskfault.sh gauntlets;
+//     the tool exits non-zero unless every instance completes, however
+//     many coordinators die mid-run.
 //
 //     wfload -sharded -naming 127.0.0.1:7000 -workers 8 -total 200
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -74,34 +47,24 @@ import (
 func main() {
 	workers := flag.Int("workers", 8, "concurrent instances (closed loop)")
 	total := flag.Int("total", 200, "total instances to run")
-	chain := flag.Int("chain", 4, "located stages per instance")
-	delay := flag.Duration("delay", 2*time.Millisecond, "simulated work per activation (self-hosted executors)")
-	execs := flag.Int("execs", 2, "self-hosted executor pool size")
+	chain := flag.Int("chain", 4, "stages per instance")
 	balance := flag.String("balance", taskexec.BalanceRoundRobin, "pool balancing: roundrobin or leastinflight")
 	gate := flag.Int("gate", 0, "max concurrent remote dispatches per instance (0 = unbounded)")
-	kill := flag.Int("kill", -1, "self-hosted executor index to hard-stop at the run's midpoint (-1 = none)")
-	naming := flag.String("naming", "", "naming service address (external executor-pool mode, or the lease arbiter of an external sharded tier with -sharded)")
-	location := flag.String("location", "workers", "location name of the external executor pool")
-	code := flag.String("code", "sleep:2ms:done", "implementation code of chain stages (external and sharded modes)")
-	timer := flag.Duration("timer", 0, "timer-heavy mode: per-stage first-class delay (replaces the located chain)")
+	naming := flag.String("naming", "", "naming service address: resolves the executor pool, or the lease arbiter of the sharded tier with -sharded")
+	location := flag.String("location", "workers", "location name of the executor pool")
+	code := flag.String("code", "sleep:2ms:done", "implementation code of chain stages")
 	sharded := flag.Bool("sharded", false, "drive an external sharded coordinator tier through -naming (instances route to partition lease holders)")
 	partitions := flag.Int("partitions", shard.DefaultPartitions, "partition count of the sharded tier (must match the coordinators)")
-	coordinators := flag.Int("coordinators", 0, "self-hosted sharded mode: boot N in-process coordinators and drive them through the routing client")
-	killCoord := flag.Int("kill-coordinator", -1, "self-hosted sharded mode: coordinator index to crash at the run's midpoint (-1 = none)")
 	flag.Parse()
 
 	var err error
 	switch {
-	case *timer > 0:
-		err = runTimerLoad(*workers, *total, *chain, *timer)
-	case *coordinators > 0:
-		err = runShardSelfHosted(*coordinators, *partitions, *workers, *total, *chain, *delay, *killCoord)
+	case *naming == "":
+		err = errors.New("-naming is required (the naming service of the executor pool or the sharded tier)")
 	case *sharded:
-		err = runShardExternal(*naming, *code, *partitions, *workers, *total, *chain)
-	case *naming != "":
-		err = runExternal(*naming, *location, *code, *workers, *total, *chain, *balance, *gate)
+		err = runSharded(*naming, *code, *partitions, *workers, *total, *chain)
 	default:
-		err = runSelfHosted(*execs, *workers, *total, *chain, *delay, *balance, *gate, *kill)
+		err = runPool(*naming, *location, *code, *workers, *total, *chain, *balance, *gate)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wfload:", err)
@@ -109,68 +72,12 @@ func main() {
 	}
 }
 
-// runShardSelfHosted boots an in-process sharded coordinator tier and
-// drives it closed-loop; optionally crashing one coordinator at the
-// midpoint, in which case the failover latency (kill to every partition
-// re-leased by a live coordinator, dead partitions re-materialized) is
-// reported.
-func runShardSelfHosted(coordinators, partitions, workers, total, chain int, delay time.Duration, killCoord int) error {
-	if killCoord >= coordinators {
-		return fmt.Errorf("-kill-coordinator %d out of range (tier size %d)", killCoord, coordinators)
-	}
-	se, err := experiments.NewShardEnv(experiments.ShardConfig{
-		Coordinators: coordinators,
-		Partitions:   partitions,
-		ChainLen:     chain,
-		StageDelay:   delay,
-	})
-	if err != nil {
-		return err
-	}
-	defer se.Close()
-
-	fmt.Printf("sharded tier: %d coordinators, %d partitions, chain(%d) x %v per stage\n",
-		coordinators, partitions, chain, delay)
-	fmt.Printf("initial partition split: %v\n", se.Owners())
-
-	var midpoint func()
-	var failover time.Duration
-	var failoverErr error
-	if killCoord >= 0 {
-		midpoint = func() {
-			fmt.Printf("-- crashing coordinator %d at midpoint --\n", killCoord)
-			se.KillCoordinator(killCoord)
-			failover, failoverErr = se.AwaitFailover(60 * time.Second)
-		}
-	}
-	rep, err := se.Run(workers, total, midpoint)
-	if err != nil {
-		return err
-	}
-	if failoverErr != nil {
-		return fmt.Errorf("failover did not complete: %w", failoverErr)
-	}
-	fmt.Println(rep)
-	if killCoord >= 0 {
-		fmt.Printf("failover latency (kill -> every partition re-leased and re-materialized): %v\n",
-			failover.Round(time.Millisecond))
-		fmt.Printf("post-failover partition split: %v\n", se.Owners())
-	}
-	if rep.Instances != total {
-		return fmt.Errorf("only %d of %d instances completed", rep.Instances, total)
-	}
-	return nil
-}
-
-// runShardExternal drives an external wfexec -shard coordinator tier:
-// the chain schema is deployed to the repository resolved through the
+// runSharded drives an external wfexec -shard coordinator tier: the
+// chain schema is deployed to the repository resolved through the
 // naming service, then every instance is routed to its partition's
 // lease holder. Coordinators may die mid-run (the e2e gauntlet SIGKILLs
 // one); completion of every single instance is the success criterion.
-func runShardExternal(naming, code string, partitions, workers, total, chain int) error {
-	if naming == "" {
-		return fmt.Errorf("-sharded requires -naming (the naming service that arbitrates the tier's leases)")
-	}
+func runSharded(naming, code string, partitions, workers, total, chain int) error {
 	nc := orb.NewNamingClient(orb.Dial(naming, orb.ClientConfig{}))
 	repoAddr, err := nc.Resolve(repository.ObjectName)
 	if err != nil {
@@ -178,7 +85,7 @@ func runShardExternal(naming, code string, partitions, workers, total, chain int
 	}
 	repoC := repository.NewClient(orb.Dial(repoAddr, orb.ClientConfig{}))
 	const schemaName = "wfload-shard"
-	if _, err := repoC.Put(schemaName, workload.ChainCode(chain, code)); err != nil {
+	if _, err := repoC.Put(schemaName, workload.ChainCode(chain, code, "")); err != nil {
 		return fmt.Errorf("deploy %s: %w", schemaName, err)
 	}
 
@@ -189,73 +96,22 @@ func runShardExternal(naming, code string, partitions, workers, total, chain int
 
 	run := os.Getpid()
 	var seq atomic.Int64
-	completed, elapsed, err := experiments.RunClosedLoopFn(workers, total, nil, func() error {
+	completed, elapsed, err := closedLoop(workers, total, func() error {
 		name := fmt.Sprintf("ld-%d-%d", run, seq.Add(1))
-		return experiments.RunOneSharded(sc, name, schemaName, 2*time.Minute)
+		return runOneSharded(sc, name, schemaName, 2*time.Minute)
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%d/%d instances completed in %v (%.1f inst/s)\n",
 		completed, total, elapsed.Round(time.Millisecond), float64(completed)/elapsed.Seconds())
-	if completed != total {
-		return fmt.Errorf("only %d of %d instances completed", completed, total)
-	}
 	return nil
 }
 
-func runSelfHosted(execs, workers, total, chain int, delay time.Duration, balance string, gate, kill int) error {
-	le, err := experiments.NewLoadEnv(experiments.LoadConfig{
-		Executors: execs, ChainLen: chain, TaskDelay: delay,
-		Balance: balance, MaxRemoteInflight: gate,
-	})
-	if err != nil {
-		return err
-	}
-	defer le.Close()
-
-	fmt.Printf("self-hosted pool: %d executors, chain(%d), %v per activation, balance=%s\n", execs, chain, delay, balance)
-	var midpoint func()
-	if kill >= 0 {
-		if kill >= execs {
-			return fmt.Errorf("-kill %d out of range (pool size %d)", kill, execs)
-		}
-		midpoint = func() {
-			fmt.Printf("-- hard-stopping executor %d at midpoint --\n", kill)
-			le.KillExecutor(kill)
-		}
-	}
-	rep, err := le.Run(workers, total, midpoint)
-	if err != nil {
-		return err
-	}
-	printReport(rep, le.Stats())
-	return nil
-}
-
-// runTimerLoad drives the closed loop over TimerChain instances: every
-// stage is a first-class delay on the engine's timing wheel, so the run
-// measures concurrent-timer churn (workers*chain pending timers at
-// steady state) rather than executor dispatch.
-func runTimerLoad(workers, total, chain int, delay time.Duration) error {
-	env := experiments.NewEnv(nil, engine.Config{Ephemeral: true})
-	defer env.Close()
-	schema := sema.MustCompileSource("wfload-timers", []byte(workload.TimerChain(chain, delay)))
-
-	fmt.Printf("timer-heavy load: chain of %d delays x %v, %d workers, %d instances (~%d concurrent timers)\n",
-		chain, delay, workers, total, workers)
-	lat := experiments.NewLatencyRecorder() // no remote activations; percentiles read 0
-	rep, err := experiments.RunClosedLoopSeed(env, schema, lat, workers, total, workload.TimerSeed())
-	if err != nil {
-		return err
-	}
-	floor := time.Duration(chain) * delay
-	fmt.Printf("%d instances in %v (%.1f inst/s); per-instance delay floor %v\n",
-		rep.Instances, rep.Elapsed.Round(time.Millisecond), rep.InstancesPerSec, floor)
-	return nil
-}
-
-func runExternal(naming, location, code string, workers, total, chain int, balance string, gate int) error {
+// runPool drives the executor pool registered under location from an
+// in-process ephemeral engine whose located stages dispatch through a
+// pool invoker.
+func runPool(naming, location, code string, workers, total, chain int, balance string, gate int) error {
 	nc := orb.NewNamingClient(orb.Dial(naming, orb.ClientConfig{}))
 	members, err := nc.ResolveAll(location)
 	if err != nil {
@@ -273,28 +129,32 @@ func runExternal(naming, location, code string, workers, total, chain int, balan
 	}
 	defer inv.Close()
 
-	lat := experiments.NewLatencyRecorder()
+	var lat latencyRecorder
 	env := experiments.NewEnv(nil, engine.Config{
 		Ephemeral:         true,
-		RemoteInvoker:     lat.Wrap(inv.Invoke),
+		RemoteInvoker:     lat.wrap(inv.Invoke),
 		MaxRemoteInflight: gate,
 	})
 	defer env.Close()
-	workload.Bind(env.Impls)
-	schema := sema.MustCompileSource("wfload", []byte(workload.LocatedChainCode(chain, location, code)))
+	schema := sema.MustCompileSource("wfload", []byte(workload.ChainCode(chain, code, location)))
 
-	rep, err := experiments.RunClosedLoop(env, schema, lat, workers, total)
+	completed, elapsed, err := closedLoop(workers, total, func() error {
+		res, _, err := env.Run(schema, "main", workload.Seed())
+		if err != nil {
+			return err
+		}
+		if res.Output != "done" {
+			return fmt.Errorf("instance outcome %q", res.Output)
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	printReport(rep, inv.Stats())
-	return nil
-}
-
-func printReport(rep experiments.LoadReport, stats []taskexec.EndpointStats) {
-	fmt.Println(rep)
+	fmt.Printf("%d instances in %v (%.1f inst/s); %v\n",
+		completed, elapsed.Round(time.Millisecond), float64(completed)/elapsed.Seconds(), &lat)
 	fmt.Printf("%-22s %12s %9s %9s  %s\n", "endpoint", "dispatched", "failures", "inflight", "state")
-	for _, st := range stats {
+	for _, st := range inv.Stats() {
 		state := "healthy"
 		if st.Blacklisted {
 			state = "blacklisted"
@@ -303,4 +163,5 @@ func printReport(rep experiments.LoadReport, stats []taskexec.EndpointStats) {
 		}
 		fmt.Printf("%-22s %12d %9d %9d  %s\n", st.Addr, st.Dispatched, st.Failures, st.Inflight, state)
 	}
+	return nil
 }

@@ -12,7 +12,8 @@
 // is the layer map with file pointers and the end-to-end event-flow
 // diagram. The benchmarks in bench_test.go regenerate every figure's
 // scenario, and `go run ./cmd/wfbench` prints the verified measurement
-// table.
+// table. The performance benchmark is the separate module under bench/
+// (workloads, metrics and bounds in BENCHMARK.json).
 //
 // # Scheduler
 //

@@ -62,9 +62,9 @@ type Config struct {
 	// default (1ms).
 	TimerTick time.Duration
 	// Ephemeral disables persistence of run states (no transactions on
-	// the store, no crash recovery). It exists as the ablation baseline
-	// for the paper's design decision to record dependencies in
-	// persistent atomic objects; see the ablation benchmarks.
+	// the store, no crash recovery). It is the baseline for the paper's
+	// design decision to record dependencies in persistent atomic
+	// objects: the bench local-ephemeral workload runs this way.
 	Ephemeral bool
 	// RemoteInvoker, when set, executes activations of tasks that carry a
 	// "location" implementation property on a remote task executor
@@ -77,13 +77,6 @@ type Config struct {
 	// for a slot instead of piling unbounded concurrent calls onto the
 	// executor pool (backpressure for wide fan-outs). 0 means unbounded.
 	MaxRemoteInflight int
-	// PersistPerTransition selects the legacy persistence strategy that
-	// commits one transaction per run-state transition instead of
-	// coalescing every write of one evaluation drain into a single
-	// multi-object batch commit. It exists as the ablation baseline for
-	// the group-commit design decision; see the PersistChain benchmarks
-	// and the wfbench S2 rows.
-	PersistPerTransition bool
 	// FullRescan selects the legacy evaluation strategy that rescans
 	// every run in the instance to a fixed point after each event,
 	// instead of the dependency-indexed dirty-set scheduler. It exists as

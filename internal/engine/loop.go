@@ -33,8 +33,9 @@ var errCancelled = errors.New("task execution cancelled")
 
 // loop is the instance controller: a single goroutine that owns the run
 // map, serialises all state transitions (which makes input-set and
-// alternative selection deterministic), and persists every transition
-// through transactions on the persistent run objects.
+// alternative selection deterministic), and persists the transitions of
+// each evaluation drain as one transaction batch on the persistent run
+// objects.
 func (i *Instance) loop() {
 	defer close(i.loopDone)
 	probe := i.eng.cfg.Probe
@@ -1014,34 +1015,17 @@ func (i *Instance) abortTask(path, outcome string) error {
 	}
 }
 
-// persistRun records a run-state transition for persistence. In the
-// default batched mode the write is buffered and flushed together with
-// every other transition of the current evaluation drain as one
-// transaction batch (see flushRuns); with Config.PersistPerTransition it
-// commits immediately in its own transaction, the legacy discipline of
-// one atomic update per transition. Persistence failures are surfaced as
-// events (the in-memory state remains authoritative for the live
-// controller; recovery replays from the last successfully persisted
-// state).
+// persistRun records a run-state transition for persistence: the write
+// is buffered and flushed together with every other transition of the
+// current evaluation drain as one transaction batch (see flushRuns).
+// Persistence failures are surfaced as events (the in-memory state
+// remains authoritative for the live controller; recovery replays from
+// the last successfully persisted state).
 func (i *Instance) persistRun(r *run) {
 	if i.eng.cfg.Ephemeral {
 		return
 	}
-	if !i.eng.cfg.PersistPerTransition {
-		i.bufferRun(r.st.Path, r)
-		return
-	}
-	tx := i.eng.preg.Manager().Begin()
-	//wflint:allow persistorder gated legacy path: Config.PersistPerTransition ablation writes one txn per transition by design
-	err := i.eng.preg.Object(runKey(i.id, r.st.Path)).Set(tx, r.st)
-	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
-	}
-	if err != nil {
-		i.emit(Event{Task: r.st.Path, Kind: EventTaskFailed, Err: fmt.Sprintf("persist run: %v", err)})
-	}
+	i.bufferRun(r.st.Path, r)
 }
 
 // deleteRunState removes a reset constituent's persisted state (same
@@ -1050,21 +1034,7 @@ func (i *Instance) deleteRunState(path string) {
 	if i.eng.cfg.Ephemeral {
 		return
 	}
-	if !i.eng.cfg.PersistPerTransition {
-		i.bufferRun(path, nil)
-		return
-	}
-	tx := i.eng.preg.Manager().Begin()
-	//wflint:allow persistorder gated legacy path: Config.PersistPerTransition ablation writes one txn per transition by design
-	err := i.eng.preg.Object(runKey(i.id, path)).Delete(tx)
-	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
-	}
-	if err != nil {
-		i.emit(Event{Task: path, Kind: EventTaskFailed, Err: fmt.Sprintf("delete run state: %v", err)})
-	}
+	i.bufferRun(path, nil)
 }
 
 // bufferRun stages one run-state write (r == nil: delete) for the next

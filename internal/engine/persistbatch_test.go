@@ -67,43 +67,37 @@ func runChainCounting(t *testing.T, n int, cfg engine.Config) int64 {
 	return cs.decisions.Load()
 }
 
-// TestBatchedPersistOneTxnPerDrain pins the tentpole invariant: batched
-// persistence coalesces all run-state writes of one dirty-set drain into
-// a single transaction, so a chain of n tasks costs O(n) decisions (one
-// per completion-event drain plus a constant) instead of the legacy
-// one-per-transition ~3n.
+// TestBatchedPersistOneTxnPerDrain pins the batching invariant: all
+// run-state writes of one dirty-set drain are coalesced into a single
+// transaction, so a chain of n tasks costs O(n) decisions (one per
+// completion-event drain plus a constant), not one per transition.
 func TestBatchedPersistOneTxnPerDrain(t *testing.T) {
 	const n = 16
 	batched := runChainCounting(t, n, engine.Config{})
-	legacy := runChainCounting(t, n, engine.Config{PersistPerTransition: true})
 
-	// Batched: instantiate + meta + one batch per drain. A chain drains
-	// once per completion event plus start and finish, so ~n+4 decisions.
+	// Instantiate + meta + one batch per drain. A chain drains once per
+	// completion event plus start and finish, so ~n+4 decisions.
 	if batched > int64(n+6) {
 		t.Fatalf("batched mode used %d transactions for a %d-chain, want <= %d (one per drain)", batched, n, n+6)
 	}
-	// Legacy pays one transaction per transition: waiting + started +
-	// completed per task, and must remain strictly more expensive.
-	if legacy < 3*int64(n) {
-		t.Fatalf("legacy mode used %d transactions, expected >= %d (one per transition)", legacy, 3*n)
-	}
-	if batched*2 >= legacy {
-		t.Fatalf("batched (%d txns) is not clearly cheaper than legacy (%d txns)", batched, legacy)
-	}
 }
 
-// TestPersistPerTransitionMatchesBatched is a differential check: both
-// persistence strategies must produce identical terminal results and
-// identical durable run states for the same workload.
-func TestPersistPerTransitionMatchesBatched(t *testing.T) {
-	durable := func(cfg engine.Config) ([]store.ID, engine.Result) {
-		st := store.NewMemStore()
+// TestDurableStateMatchesAcrossStores is a differential check over the
+// store backends wfexec -store offers: an instance run to completion on
+// each must produce identical terminal results and identical durable
+// object sets.
+func TestDurableStateMatchesAcrossStores(t *testing.T) {
+	durable := func(backend string) ([]store.ID, engine.Result) {
+		st, closeStore, err := store.Open(backend, t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeStore()
 		preg := persist.NewRegistry(st, txn.NewManager(st), nil)
 		impls := registry.New()
 		workload.Bind(impls)
-		cfg.VerifyScheduler = true
-		eng := engine.New(preg, impls, cfg)
-		t.Cleanup(eng.Close)
+		eng := engine.New(preg, impls, engine.Config{VerifyScheduler: true})
+		defer eng.Close()
 		schema := workload.MustCompile("diffp", workload.Diamond(4))
 		inst, err := eng.Instantiate("diffp", schema, "")
 		if err != nil {
@@ -125,13 +119,18 @@ func TestPersistPerTransitionMatchesBatched(t *testing.T) {
 		}
 		return ids, res
 	}
-	batchedIDs, batchedRes := durable(engine.Config{})
-	legacyIDs, legacyRes := durable(engine.Config{PersistPerTransition: true})
-	if batchedRes.Output != legacyRes.Output || batchedRes.State != legacyRes.State {
-		t.Fatalf("results diverged: batched %+v, legacy %+v", batchedRes, legacyRes)
+	memIDs, memRes := durable("mem")
+	if memRes.Output != "done" || len(memIDs) == 0 {
+		t.Fatalf("mem store: result %+v, durable objects %v", memRes, memIDs)
 	}
-	if fmt.Sprint(batchedIDs) != fmt.Sprint(legacyIDs) {
-		t.Fatalf("durable object sets diverged:\nbatched: %v\nlegacy:  %v", batchedIDs, legacyIDs)
+	for _, backend := range []string{"file", "wal"} {
+		ids, res := durable(backend)
+		if res.Output != memRes.Output || res.State != memRes.State {
+			t.Fatalf("results diverged: mem %+v, %s %+v", memRes, backend, res)
+		}
+		if fmt.Sprint(ids) != fmt.Sprint(memIDs) {
+			t.Fatalf("durable object sets diverged:\nmem:  %v\n%s: %v", memIDs, backend, ids)
+		}
 	}
 }
 

@@ -347,23 +347,6 @@ func TestAbortPendingDelay(t *testing.T) {
 	}
 }
 
-// TestDelayPerTransitionAblation runs the delay path under the legacy
-// per-transition persistence discipline, which must stay equivalent.
-func TestDelayPerTransitionAblation(t *testing.T) {
-	clock := timers.NewFakeClock(epoch)
-	r := newRig(t, engine.Config{Clock: clock, PersistPerTransition: true})
-	inst := r.run(t, delayScript, "delay-ptx", "main", registry.Objects{"d": val("D", "x")})
-	waitEventKind(t, inst, engine.EventTimerArmed)
-	clock.Advance(5 * time.Second)
-	res := waitResult(t, inst)
-	if res.Output != "done" {
-		t.Fatalf("result = %+v", res)
-	}
-	if ids, _ := r.st.List("inst/delay-ptx/timer/"); len(ids) != 0 {
-		t.Fatalf("timer records left: %v", ids)
-	}
-}
-
 // TestDelayCrashRecoveryProperty crashes a timer chain at random points
 // (real clock, short delays) and checks the temporal invariants across
 // recovery: the instance completes, no engine life fires one task's

@@ -236,26 +236,12 @@ func (i *Instance) rearmTimers() error {
 }
 
 // persistTimerRec stages a timer-record write into the current flush
-// batch (or commits it immediately under the per-transition ablation).
+// batch.
 func (i *Instance) persistTimerRec(path string, rec *delayRec) {
 	if i.eng.cfg.Ephemeral {
 		return
 	}
-	if !i.eng.cfg.PersistPerTransition {
-		i.bufferTimerRec(path, rec)
-		return
-	}
-	tx := i.eng.preg.Manager().Begin()
-	//wflint:allow persistorder gated legacy path: Config.PersistPerTransition ablation writes one txn per transition by design
-	err := i.eng.preg.Object(timerRecKey(i.id, path)).Set(tx, *rec)
-	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
-	}
-	if err != nil {
-		i.emit(Event{Task: path, Kind: EventTaskFailed, Err: fmt.Sprintf("persist timer: %v", err)})
-	}
+	i.bufferTimerRec(path, rec)
 }
 
 // deleteTimerRec stages the removal of a timer record (same batching
@@ -264,21 +250,7 @@ func (i *Instance) deleteTimerRec(path string) {
 	if i.eng.cfg.Ephemeral {
 		return
 	}
-	if !i.eng.cfg.PersistPerTransition {
-		i.bufferTimerRec(path, nil)
-		return
-	}
-	tx := i.eng.preg.Manager().Begin()
-	//wflint:allow persistorder gated legacy path: Config.PersistPerTransition ablation writes one txn per transition by design
-	err := i.eng.preg.Object(timerRecKey(i.id, path)).Delete(tx)
-	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
-	}
-	if err != nil {
-		i.emit(Event{Task: path, Kind: EventTaskFailed, Err: fmt.Sprintf("delete timer record: %v", err)})
-	}
+	i.bufferTimerRec(path, nil)
 }
 
 // bufferTimerRec stages one timer-record write (nil = delete) for the

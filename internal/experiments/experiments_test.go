@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -144,41 +145,39 @@ func TestX5Scenario(t *testing.T) {
 	}
 }
 
+// TestAblationConfigurations runs one diamond instance under each engine
+// configuration an ablation baseline still uses: ephemeral and persistent
+// run states over a memory store, persistent run states over a file
+// store, and the full-rescan scheduler of the S1 rows.
 func TestAblationConfigurations(t *testing.T) {
-	for _, eph := range []bool{true, false} {
-		f, err := experiments.AblationEnv(store.NewMemStore(), eph)
+	schema := experiments.Compile("ablation", workload.Diamond(4))
+	run := func(t *testing.T, st store.Store, cfg engine.Config) {
+		t.Helper()
+		env := experiments.NewEnv(st, cfg)
+		defer env.Close()
+		workload.Bind(env.Impls)
+		res, _, err := env.Run(schema, "main", workload.Seed())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Run(); err != nil {
-			t.Fatalf("ephemeral=%v: %v", eph, err)
+		if res.Output != "done" {
+			t.Fatalf("outcome %q, want done", res.Output)
 		}
-		f.Close()
 	}
-	fs, err := experiments.NewFileStoreEnv(t.TempDir())
+	for _, eph := range []bool{true, false} {
+		run(t, store.NewMemStore(), engine.Config{Ephemeral: eph})
+	}
+	fs, closeStore, err := store.Open("file", t.TempDir(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := experiments.AblationEnv(fs, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := f.Run(); err != nil {
-		t.Fatalf("filestore: %v", err)
-	}
-}
-
-func TestTxnThroughputHelper(t *testing.T) {
-	reg := experiments.NewPersistRegistry()
-	obj := reg.Object("t/counter")
-	for i := 0; i < 10; i++ {
-		if err := experiments.TxnThroughput(reg, obj); err != nil {
-			t.Fatal(err)
+	defer closeStore()
+	run(t, fs, engine.Config{})
+	for _, fullRescan := range []bool{false, true} {
+		s := experiments.NewSched("ablation", workload.Diamond(4), fullRescan)
+		if err := s.Run(); err != nil {
+			t.Fatalf("fullRescan=%v: %v", fullRescan, err)
 		}
-	}
-	var v int
-	if err := obj.Peek(&v); err != nil || v != 10 {
-		t.Fatalf("counter = %d, %v; want 10", v, err)
+		s.Close()
 	}
 }

@@ -12,14 +12,12 @@ import (
 	"repro/internal/execsvc"
 	"repro/internal/failure"
 	"repro/internal/orb"
-	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/repository"
 	"repro/internal/script/sema"
 	"repro/internal/scripts"
 	"repro/internal/store"
 	"repro/internal/timers"
-	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -447,95 +445,3 @@ func (s *Sched) Run() error {
 
 // Close releases the environment.
 func (s *Sched) Close() { s.env.Close() }
-
-// PersistChain runs an n-task chain with durable (fsync-enabled)
-// persistence over a chosen store backend and persistence strategy: the
-// S2 ablation isolating the WAL group commit and the batched
-// persistRun against the shadow-file-per-transition baseline. Each Run
-// is one workflow instance; the store accumulates instances the way a
-// production engine would (WAL compaction reclaims them).
-type PersistChain struct {
-	env    *Env
-	schema *coreSchema
-	closer func()
-}
-
-// NewPersistChain builds the scenario. backend selects "file", "wal" or
-// "mem" (store.Open); perTransition selects the legacy
-// one-transaction-per-transition persistence. dir hosts file-backed
-// stores; sync is left ON — this scenario measures durability cost,
-// unlike NewFileStoreEnv.
-func NewPersistChain(backend string, perTransition bool, n int, dir string) (*PersistChain, error) {
-	st, closer, err := store.Open(backend, dir, true)
-	if err != nil {
-		return nil, err
-	}
-	env := NewEnv(st, engine.Config{PersistPerTransition: perTransition})
-	workload.Bind(env.Impls)
-	return &PersistChain{
-		env:    env,
-		schema: Compile(fmt.Sprintf("persistchain%d", n), workload.Chain(n)),
-		closer: closer,
-	}, nil
-}
-
-// Run executes one durable workflow instance end to end.
-func (p *PersistChain) Run() error {
-	res, _, err := p.env.Run(p.schema, "main", workload.Seed())
-	if err != nil {
-		return err
-	}
-	if res.Output != "done" {
-		return fmt.Errorf("outcome %q", res.Output)
-	}
-	return nil
-}
-
-// Close releases the environment and the store.
-func (p *PersistChain) Close() {
-	p.env.Close()
-	if p.closer != nil {
-		p.closer()
-	}
-}
-
-// AblationEnv builds the diamond scenario over a chosen store and
-// persistence mode, for the design-decision benchmarks.
-func AblationEnv(st store.Store, ephemeral bool) (*Fig1, error) {
-	env := NewEnv(st, engine.Config{Ephemeral: ephemeral})
-	workload.Bind(env.Impls)
-	return &Fig1{env: env, schema: Compile("ablation", workload.Diamond(4))}, nil
-}
-
-// NewFileStoreEnv opens a file store in dir with fsync disabled (the
-// benchmarks measure write-path cost, not disk flush latency).
-func NewFileStoreEnv(dir string) (store.Store, error) {
-	fs, err := store.NewFileStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	fs.SetSync(false)
-	return fs, nil
-}
-
-// TxnThroughput measures raw transactional object updates (the substrate
-// the engine rides on): one Begin/GetForUpdate/Set/Commit cycle.
-func TxnThroughput(reg *persist.Registry, obj *persist.Object) error {
-	tx := reg.Manager().Begin()
-	var v int
-	if err := obj.GetForUpdate(tx, &v); err != nil && !errors.Is(err, persist.ErrNoState) {
-		_ = tx.Abort()
-		return err
-	}
-	if err := obj.Set(tx, v+1); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	return tx.Commit()
-}
-
-// NewPersistRegistry builds a registry over a fresh memory store.
-func NewPersistRegistry() *persist.Registry {
-	st := store.NewMemStore()
-	return persist.NewRegistry(st, txn.NewManager(st), nil)
-}

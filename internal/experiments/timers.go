@@ -96,11 +96,18 @@ func TimerChurn(n int, spread time.Duration) (ChurnReport, error) {
 	return rep, nil
 }
 
+// percentile returns the p-th percentile of sorted durations.
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[int(p*float64(len(sorted)-1))]
+}
+
 // TimerChainRun is the engine-level temporal workload: a chain of
 // first-class delay tasks, no implementation code at all. Each Run is
 // one instance whose wall time is n*delay plus wheel and scheduler
-// overhead (sleep-dominated, so the S4 gate row is exempt from CPU
-// calibration like S3).
+// overhead.
 type TimerChainRun struct {
 	env    *Env
 	schema *coreSchema

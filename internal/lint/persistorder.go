@@ -13,10 +13,10 @@ var runStateKeyFuncs = map[string]bool{"runKey": true, "timerRecKey": true}
 // internal/engine: run-state and timer-record writes commit only through
 // the drain's persist.Batch (flushRuns), one transaction per evaluation
 // drain. A direct persist.Object Set/Delete on a run key re-introduces
-// the one-fsync-per-transition discipline (the 13x S2 regression), and a
+// the one-fsync-per-transition discipline (a 13x regression), and a
 // direct store write bypasses the transactional intention log entirely
-// (no crash atomicity). The gated legacy paths (Config.PersistPerTransition)
-// and the pre-loop instantiation write carry reasoned allow directives.
+// (no crash atomicity). The pre-loop instantiation write, the one
+// exception, carries a reasoned allow directive.
 var PersistOrder = &Analyzer{
 	Name: "persistorder",
 	Doc: "in internal/engine, forbids persisting run/timer state via direct persist.Object " +

@@ -60,16 +60,10 @@ func stage(b *strings.Builder, name, sourceExpr string) {
 // locStage renders one Stage task pinned to a location (dispatched to a
 // remote executor pool by the engine).
 func locStage(b *strings.Builder, name, sourceExpr, location string) {
-	locStageCode(b, name, sourceExpr, location, "stage")
-}
-
-// locStageCode renders one located Stage task with an explicit
-// implementation code.
-func locStageCode(b *strings.Builder, name, sourceExpr, location, code string) {
 	fmt.Fprintf(b, `
     task %s of taskclass Stage
     {
-        implementation { "code" is %q; "location" is %q };
+        implementation { "code" is "stage"; "location" is %q };
         inputs
         {
             input main
@@ -77,7 +71,7 @@ func locStageCode(b *strings.Builder, name, sourceExpr, location, code string) {
                 inputobject in from { %s }
             }
         }
-    };`, name, code, location, sourceExpr)
+    };`, name, location, sourceExpr)
 }
 
 // pair renders one Pair join task.
@@ -138,14 +132,19 @@ func Chain(n int) string {
 	return wrap(b.String(), prev)
 }
 
-// ChainCode is Chain with an explicit implementation code and no
-// location: every stage runs in-process on the coordinating engine
-// through the builtin pattern schemes (e.g. "sleep:2ms:done"), so the
-// chain exercises a coordinator tier without needing executor pools.
-// Unlike the shared Stage taskclass, its stages carry the object "d"
-// through both input and output, matching the builtins' echo semantics
-// (inputs copy into same-named outputs).
-func ChainCode(n int, code string) string {
+// ChainCode is Chain with an explicit implementation code, run through
+// the builtin pattern schemes (e.g. "sleep:2ms:done") so daemons can
+// serve it. With an empty location every stage runs in-process on the
+// coordinating engine, exercising a coordinator tier without executor
+// pools; otherwise every stage is dispatched to the executor pool
+// registered under location. Unlike the shared Stage taskclass, its
+// stages carry the object "d" through both input and output, matching
+// the builtins' echo semantics (inputs copy into same-named outputs).
+func ChainCode(n int, code, location string) string {
+	impl := fmt.Sprintf(`"code" is %q`, code)
+	if location != "" {
+		impl += fmt.Sprintf(`; "location" is %q`, location)
+	}
 	var b strings.Builder
 	b.WriteString(`
 class Data;
@@ -174,9 +173,9 @@ compoundtask app of taskclass App
 		fmt.Fprintf(&b, `
     task %s of taskclass EchoStage
     {
-        implementation { "code" is %q };
+        implementation { %s };
         inputs { input main { inputobject d from { %s } } }
-    };`, name, code, src)
+    };`, name, impl, src)
 		prev = name
 	}
 	fmt.Fprintf(&b, `
@@ -261,13 +260,6 @@ func fanIn(n int, renderStage func(b *strings.Builder, name, sourceExpr string))
 // to the given location: the workload of the executor-pool load
 // generator (each instance costs n sequential remote dispatches).
 func LocatedChain(n int, location string) string {
-	return LocatedChainCode(n, location, "stage")
-}
-
-// LocatedChainCode is LocatedChain with an explicit implementation code,
-// so daemon-hosted executors can run the chain through the builtin
-// pattern schemes (e.g. "sleep:2ms:done").
-func LocatedChainCode(n int, location, code string) string {
 	var b strings.Builder
 	prev := ""
 	for i := 1; i <= n; i++ {
@@ -276,7 +268,7 @@ func LocatedChainCode(n int, location, code string) string {
 		if prev != "" {
 			src = fromTask(prev)
 		}
-		locStageCode(&b, name, src, location, code)
+		locStage(&b, name, src, location)
 		prev = name
 	}
 	return wrap(b.String(), prev)

@@ -3,6 +3,7 @@ package workload_test
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,6 +106,54 @@ func TestTemporalGeneratorsCompileAndRun(t *testing.T) {
 		res := run(t, "deadlinefanout", workload.DeadlineFanOut(6, time.Second, "work"))
 		if res.Output != "done" {
 			t.Fatalf("outcome = %q, want done", res.Output)
+		}
+	})
+}
+
+// TestChainCodeEchoesThroughEveryStage runs ChainCode in-process on
+// the builtin codes and located on an echoing invoker. Builtins echo
+// inputs into same-named outputs, so every stage must carry one object
+// name through; a located stage must reach the invoker with its
+// location and code.
+func TestChainCodeEchoesThroughEveryStage(t *testing.T) {
+	run := func(t *testing.T, location string, cfg engine.Config) engine.Result {
+		st := store.NewMemStore()
+		impls := registry.New()
+		impls.BindFallback(registry.Builtin)
+		eng := engine.New(persist.NewRegistry(st, txn.NewManager(st), nil), impls, cfg)
+		t.Cleanup(eng.Close)
+		inst, err := eng.Instantiate("codechain", workload.MustCompile("codechain", workload.ChainCode(3, "fixed:done", location)), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Start("main", workload.Seed()); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		res, err := inst.Wait(ctx)
+		if err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		if res.Output != "done" || res.Objects["out"].Data.(string) != "seed" {
+			t.Fatalf("result = %+v, want done passing the seed through", res)
+		}
+		return res
+	}
+	t.Run("in-process", func(t *testing.T) {
+		run(t, "", engine.Config{})
+	})
+	t.Run("located", func(t *testing.T) {
+		var calls atomic.Int64
+		run(t, "pool", engine.Config{RemoteInvoker: func(req engine.RemoteRequest) (registry.Result, error) {
+			if req.Location != "pool" || req.Code != "fixed:done" {
+				return registry.Result{}, fmt.Errorf("dispatched %q at %q, want fixed:done at pool", req.Code, req.Location)
+			}
+			calls.Add(1)
+			return registry.Result{Output: "done", Objects: registry.Objects{"d": req.Inputs["d"]}}, nil
+		}})
+		if calls.Load() != 3 {
+			t.Fatalf("%d remote calls, want one per stage (3)", calls.Load())
 		}
 	})
 }
