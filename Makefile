@@ -82,9 +82,10 @@ e2e-shard:
 		  bash scripts/e2e_shardkill.sh; }
 
 # The crash-consistency gauntlet (see docs/INVARIANTS.md, "Storage"):
-# a recorded ≥1k-op WAL workload re-materialized truncated at EVERY
-# record boundary plus hundreds of seeded intra-record cuts (no
-# acknowledged write may be lost, torn tails recover silently), seeded
+# a recorded ≥1k-op WAL workload (one record per batch) re-materialized
+# truncated at EVERY record boundary plus hundreds of seeded intra-record
+# cuts (no acknowledged batch may be lost, a cut batch recovers as none
+# of it, torn tails recover silently), seeded
 # mid-log bit-flips (must fail loudly with ErrCorrupt), and the
 # engine-level recover-from-every-boundary no-double-fire sweep.
 # Verbose output lands in GAUNTLET.log; on failure the log carries the
@@ -116,14 +117,15 @@ sim:
 	$(GO) run ./cmd/wfsim run scenarios/*.scn
 	$(GO) test ./internal/sim
 
-# Native fuzzing of the durable record codec, 10 s per target (go
-# test fuzzes one target per run). Plain `go test` already replays the
+# Native fuzzing of the durable record codec and the WAL record
+# reader, 10 s per target (go test fuzzes one target per run). Plain `go test` already replays the
 # checked-in corpora under testdata/fuzz; this searches for new inputs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeRunState$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeMeta$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeDelay$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeSchedule$$' -fuzztime 10s ./internal/execsvc
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s ./internal/store
 
 # Refresh the checked-in golden traces after an intended behavior
 # change; the resulting diff is the review artifact.

@@ -4,9 +4,8 @@
 // instances survive restarts (pass -recover to resume them).
 //
 // The -store flag selects the persistence backend: "wal" (default) is
-// the group-commit log-structured store, "file" the shadow-file-per-
-// object store, "mem" an in-memory store for throwaway runs (no state
-// survives the process).
+// the group-commit log-structured store, "mem" an in-memory store for
+// throwaway runs (no state survives the process).
 //
 // Task implementations resolve through the builtin pattern schemes
 // ("fixed:done", "sleep:50ms:done", "fail:2:done"); embedding
@@ -42,7 +41,7 @@
 //
 // Usage:
 //
-//	wfexec -addr 127.0.0.1:7002 -dir ./exec-state -repo 127.0.0.1:7001 [-store wal|file|mem]
+//	wfexec -addr 127.0.0.1:7002 -dir ./exec-state -repo 127.0.0.1:7001 [-store wal|mem]
 //	       [-naming host:port] [-balance roundrobin|leastinflight|hash] [-max-remote N] [-recover]
 //	wfexec -shard -naming 127.0.0.1:7000 -addr 127.0.0.1:7002 -dir ./shared-state \
 //	       -repo 127.0.0.1:7001 [-partitions N] [-lease-ttl 2s] [-lease-renew 500ms]
@@ -54,7 +53,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -77,8 +75,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7002", "listen address")
-	dir := flag.String("dir", "wfexec-state", "state directory (file and wal stores); with -shard, the tier's shared state root")
-	storeKind := flag.String("store", "wal", "persistence backend: wal (group-commit log), file (shadow files), mem (volatile)")
+	dir := flag.String("dir", "wfexec-state", "state directory (wal store); with -shard, the tier's shared state root")
+	storeKind := flag.String("store", "wal", "persistence backend: wal (group-commit log) or mem (volatile)")
 	repoAddr := flag.String("repo", "127.0.0.1:7001", "repository service address")
 	naming := flag.String("naming", "", "naming service address to register with; also enables pooled remote dispatch of located tasks")
 	balance := flag.String("balance", taskexec.BalanceRoundRobin, "executor-pool balancing: roundrobin, leastinflight or hash (dispatch-order independent)")
@@ -127,42 +125,7 @@ func wireStoreMetrics(st store.Store) {
 	}
 }
 
-// checkStoreLayout refuses to open a state directory written by a
-// different backend: a WALStore over a shadow-file directory (or vice
-// versa) would silently see an empty store and -recover would drop every
-// persisted instance.
-func checkStoreLayout(kind, dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // fresh directory
-		}
-		return err
-	}
-	hasWAL, hasFile := false, false
-	for _, e := range entries {
-		switch {
-		case strings.HasPrefix(e.Name(), "wal-"), strings.HasPrefix(e.Name(), "snap-"):
-			hasWAL = true
-		case e.Name() == "inst" || e.Name() == "txlog" || e.Name() == "txdecision":
-			hasFile = true
-		}
-	}
-	if kind == "wal" && hasFile && !hasWAL {
-		return fmt.Errorf("state dir %s holds shadow-file store data; pass -store file (or a fresh -dir for wal)", dir)
-	}
-	if kind == "file" && hasWAL {
-		return fmt.Errorf("state dir %s holds wal store data; pass -store wal (or a fresh -dir for file)", dir)
-	}
-	return nil
-}
-
 func run(addr, dir, storeKind, repoAddr, naming, balance string, doRecover, noSync bool, retries, maxRemote int) error {
-	if storeKind != "mem" {
-		if err := checkStoreLayout(storeKind, dir); err != nil {
-			return err
-		}
-	}
 	fs, closeStore, err := store.Open(storeKind, dir, !noSync)
 	if err != nil {
 		return err
@@ -343,9 +306,6 @@ func runShard(addr, dir, storeKind, repoAddr, naming, balance string, noSync boo
 		Peers:      func() ([]string, error) { return namingClient.ResolveAll(shard.CoordTier) },
 		OnAcquire: func(p int) error {
 			pdir := filepath.Join(dir, shard.PartitionDir(p))
-			if err := checkStoreLayout(storeKind, pdir); err != nil {
-				return err
-			}
 			st, closeStore, err := store.Open(storeKind, pdir, !noSync)
 			if err != nil {
 				return fmt.Errorf("partition %d: open store: %w", p, err)

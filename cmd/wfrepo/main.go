@@ -1,6 +1,6 @@
 // Command wfrepo runs the Workflow Repository Service (Fig. 4) as a
 // standalone daemon: a versioned, compile-checked script store exported
-// over the orb, with state in a crash-atomic file store.
+// over the orb, with state in a group-commit WAL store.
 //
 // Usage:
 //
@@ -26,7 +26,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7001", "listen address")
-	dir := flag.String("dir", "wfrepo-state", "state directory (file store)")
+	dir := flag.String("dir", "wfrepo-state", "state directory (WAL store)")
 	naming := flag.String("naming", "", "naming service address to register with (optional)")
 	noSync := flag.Bool("nosync", false, "disable fsync on writes (faster, less durable)")
 	flag.Parse()
@@ -38,14 +38,12 @@ func main() {
 }
 
 func run(addr, dir, naming string, noSync bool) error {
-	fs, err := store.NewFileStore(dir)
+	st, closeStore, err := store.Open("wal", dir, !noSync)
 	if err != nil {
 		return err
 	}
-	if noSync {
-		fs.SetSync(false)
-	}
-	reg := persist.NewRegistry(fs, txn.NewManager(fs), nil)
+	defer closeStore()
+	reg := persist.NewRegistry(st, txn.NewManager(st), nil)
 	if n, err := reg.Recover(); err != nil {
 		return fmt.Errorf("recover: %w", err)
 	} else if n > 0 {

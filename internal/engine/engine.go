@@ -171,7 +171,10 @@ type Engine struct {
 
 	mu        sync.Mutex
 	instances map[string]*Instance
-	closed    bool
+	// reserved holds the IDs Instantiate is committing outside mu; true
+	// once StopMatching stopped the ID mid-commit.
+	reserved map[string]bool
+	closed   bool
 }
 
 // New returns an engine. preg supplies the persistent atomic objects and
@@ -200,6 +203,7 @@ func New(preg *persist.Registry, impls *registry.Registry, cfg Config) *Engine {
 		tracer:    tracer,
 		met:       newEngMetrics(reg),
 		instances: make(map[string]*Instance),
+		reserved:  make(map[string]bool),
 	}
 }
 
@@ -229,44 +233,66 @@ var ErrStopped = errors.New("instance stopped")
 
 // Instantiate creates a new instance of the schema rooted at rootName
 // (empty selects the single top-level task) and starts its controller.
-// The instance is persisted immediately so it can be recovered.
+// The instance is persisted immediately so it can be recovered: its meta
+// (unless the engine is Ephemeral) and its root run, in one batch.
 func (e *Engine) Instantiate(id string, schema *core.Schema, rootName string) (*Instance, error) {
 	root, err := schema.Root(rootName)
 	if err != nil {
 		return nil, err
 	}
+	// Reserve the ID so a duplicate Instantiate and a concurrent
+	// RecoverMatching see it, then commit outside e.mu: the commit waits
+	// for the disk, and Instance lookups must not.
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed {
+		e.mu.Unlock()
 		return nil, errors.New("engine is closed")
 	}
-	if _, dup := e.instances[id]; dup {
+	if e.taken(id) {
+		e.mu.Unlock()
 		return nil, fmt.Errorf("instantiate %s: %w", id, ErrInstanceExists)
 	}
+	e.reserved[id] = false
+	e.mu.Unlock()
+
 	inst := e.newInstance(id, schema, root)
 	// The trace ID is minted here, once, and persisted in the meta: every
 	// span of this instance's lifetime — across crashes, lease steals and
 	// remote executors — carries it, so the pieces stitch into one tree.
-	meta := instanceMeta{
+	inst.meta = instanceMeta{
 		ID: id, SchemaName: schema.Name, SchemaSource: schema.Source,
 		RootName: root.Name, TraceID: obs.NewID(),
 	}
-	if err := inst.saveMeta(meta); err != nil {
-		return nil, err
-	}
-	inst.meta = meta
 	// The root run exists from the start, in Waiting.
 	rootRun := inst.newRun(root, runState{Path: root.Path(), State: RunWaiting})
 	inst.runs[root.Path()] = rootRun
 	inst.markDirty(root.Path())
-	if err := inst.persistRunDirect(rootRun); err != nil {
-		return nil, err
+	b := e.preg.NewBatch()
+	if !e.cfg.Ephemeral {
+		err = b.Set(metaKey(id), inst.meta)
+	}
+	if err == nil {
+		err = b.Set(runKey(id, root.Path()), rootRun.st)
+	}
+	if err == nil {
+		err = b.Commit()
+	}
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	stopped := e.reserved[id] || e.closed
+	delete(e.reserved, id)
+	if err == nil && stopped {
+		err = ErrStopped // durable: a later recovery picks it up
+	}
+	if err != nil {
+		return nil, fmt.Errorf("instantiate %s: %w", id, err)
 	}
 	// Root span: SpanID == TraceID by convention, so later spans parent
 	// to it without extra state.
 	now := e.clock.Now()
 	e.tracer.Record(obs.Span{
-		TraceID: meta.TraceID, SpanID: meta.TraceID,
+		TraceID: inst.meta.TraceID, SpanID: inst.meta.TraceID,
 		Name: "instantiate", Instance: id, Start: now, End: now,
 		Attrs: map[string]string{"schema": schema.Name},
 	})
@@ -274,6 +300,13 @@ func (e *Engine) Instantiate(id string, schema *core.Schema, rootName string) (*
 	e.met.instancesLive.Set(int64(len(e.instances)))
 	go inst.loop()
 	return inst, nil
+}
+
+// taken reports whether id is live or being instantiated (e.mu held).
+func (e *Engine) taken(id string) bool {
+	_, live := e.instances[id]
+	_, reserved := e.reserved[id]
+	return live || reserved
 }
 
 // SchemaCompiler turns persisted schema source back into a compiled
@@ -765,32 +798,18 @@ func (i *Instance) Stop() {
 	i.setStatus(StatusStopped)
 }
 
-// saveMeta persists the instance header in a transaction.
+// saveMeta persists the instance header in a batch of its own.
 func (i *Instance) saveMeta(meta instanceMeta) error {
 	if i.eng.cfg.Ephemeral {
 		return nil
 	}
-	tx := i.eng.preg.Manager().Begin()
-	if err := i.eng.preg.Object(metaKey(i.id)).Set(tx, meta); err != nil {
-		_ = tx.Abort()
-		return fmt.Errorf("save meta %s: %w", i.id, err)
+	b := i.eng.preg.NewBatch()
+	err := b.Set(metaKey(i.id), meta)
+	if err == nil {
+		err = b.Commit()
 	}
-	if err := tx.Commit(); err != nil {
+	if err != nil {
 		return fmt.Errorf("save meta %s: %w", i.id, err)
 	}
 	return nil
-}
-
-// persistRunDirect writes a run state in its own transaction (used at
-// instantiation, before the loop owns the run map).
-func (i *Instance) persistRunDirect(r *run) error {
-	tx := i.eng.preg.Manager().Begin()
-	// The drain batch does not exist yet at instantiation: the loop that
-	// owns runBuf starts only after the initial run map is durable.
-	//wflint:allow persistorder pre-loop instantiation write; the drain batch is not running yet
-	if err := i.eng.preg.Object(runKey(i.id, r.st.Path)).Set(tx, r.st); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	return tx.Commit()
 }

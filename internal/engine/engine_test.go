@@ -63,6 +63,10 @@ func waitResult(t *testing.T, inst *engine.Instance) engine.Result {
 	if err != nil {
 		t.Fatalf("wait: %v (events: %v)", err, inst.Events())
 	}
+	// Wait returns when the terminal status is set, and the controller
+	// emits instance-completed after that in the same turn: a round trip
+	// through the controller orders the caller's Events() after it.
+	_, _ = inst.Snapshot()
 	return res
 }
 

@@ -1049,10 +1049,8 @@ func (i *Instance) bufferRun(path string, r *run) {
 }
 
 // flushRuns commits every buffered run-state transition as one
-// multi-object transaction batch: one decision record — and, on a store
-// with batch support, one group-committed fsync for all intentions and
-// one for all states — per evaluation drain instead of per transition.
-// Crash-wise this moves the recovery point from "after any transition"
+// all-or-nothing store batch: one record and one group-committed fsync
+// per evaluation drain instead of per transition. Crash-wise this moves the recovery point from "after any transition"
 // to "after any drain": an intermediate state a crash loses is
 // re-derived by recovery from the same inputs, which the crash-recovery
 // property tests pin. Called on the loop goroutine at the end of every
@@ -1080,10 +1078,9 @@ func (i *Instance) flushRuns() error {
 			i.emit(Event{Task: path, Kind: EventTaskFailed, Err: fmt.Sprintf("persist run: %v", err)})
 		}
 	}
-	// Timer records ride the same batch, AFTER the run states: a torn
-	// batch tail can lose an arm record (recovery restarts that delay
-	// from zero, conservatively) but can never persist a fire's record
-	// deletion without the terminal run state it acknowledges.
+	// Timer records ride the same batch, so a fire's record deletion is
+	// durable exactly when the terminal run state it acknowledges is:
+	// the store applies the batch whole or not at all.
 	for _, path := range i.pendingTimerOrder {
 		rec := i.pendingTimers[path]
 		if rec == nil {

@@ -17,26 +17,38 @@ import (
 	"repro/internal/workload"
 )
 
-// countingStore wraps a Store and counts committed transactions (by
-// decision-record writes) and total object writes. It deliberately does
-// NOT implement store.Batcher, so counts are exact per object.
+// countingStore wraps a Store and counts store batch applications and
+// transaction decision records (written alone or inside a batch).
 type countingStore struct {
 	store.Store
+	batches   atomic.Int64
 	decisions atomic.Int64
-	writes    atomic.Int64
 }
 
-func (c *countingStore) Write(id store.ID, data []byte) error {
-	c.writes.Add(1)
+func (c *countingStore) noteDecision(id store.ID) {
 	if strings.HasPrefix(string(id), "txdecision/") {
 		c.decisions.Add(1)
 	}
+}
+
+func (c *countingStore) Write(id store.ID, data []byte) error {
+	c.noteDecision(id)
 	return c.Store.Write(id, data)
 }
 
+func (c *countingStore) ApplyBatch(ops []store.BatchOp) error {
+	c.batches.Add(1)
+	for _, op := range ops {
+		if !op.Delete {
+			c.noteDecision(op.ID)
+		}
+	}
+	return store.ApplyBatch(c.Store, ops)
+}
+
 // runChainCounting executes one n-task chain over a counting store and
-// returns the number of transaction decisions it cost.
-func runChainCounting(t *testing.T, n int, cfg engine.Config) int64 {
+// returns the store batches and transaction decisions it cost.
+func runChainCounting(t *testing.T, n int, cfg engine.Config) (batches, decisions int64) {
 	t.Helper()
 	cs := &countingStore{Store: store.NewMemStore()}
 	preg := persist.NewRegistry(cs, txn.NewManager(cs), nil)
@@ -64,21 +76,28 @@ func runChainCounting(t *testing.T, n int, cfg engine.Config) int64 {
 		t.Fatalf("outcome %q", res.Output)
 	}
 	inst.Stop()
-	return cs.decisions.Load()
+	return cs.batches.Load(), cs.decisions.Load()
 }
 
 // TestBatchedPersistOneTxnPerDrain pins the batching invariant: all
 // run-state writes of one dirty-set drain are coalesced into a single
-// transaction, so a chain of n tasks costs O(n) decisions (one per
-// completion-event drain plus a constant), not one per transition.
+// store batch, so a chain of n tasks costs O(n) batches (one per
+// completion-event drain plus a constant), not one per transition, and
+// the engine's bookkeeping writes no transaction decision at all.
 func TestBatchedPersistOneTxnPerDrain(t *testing.T) {
 	const n = 16
-	batched := runChainCounting(t, n, engine.Config{})
+	batches, decisions := runChainCounting(t, n, engine.Config{})
 
-	// Instantiate + meta + one batch per drain. A chain drains once per
-	// completion event plus start and finish, so ~n+4 decisions.
-	if batched > int64(n+6) {
-		t.Fatalf("batched mode used %d transactions for a %d-chain, want <= %d (one per drain)", batched, n, n+6)
+	// Instantiate + start meta + one batch per drain. A chain drains once
+	// per completion event plus start and finish, so ~n+4 batches.
+	if batches > int64(n+6) {
+		t.Fatalf("used %d store batches for a %d-chain, want <= %d (one per drain)", batches, n, n+6)
+	}
+	if batches < int64(n) {
+		t.Fatalf("used %d store batches for a %d-chain: the run states did not reach the store as batches", batches, n)
+	}
+	if decisions != 0 {
+		t.Fatalf("the drain wrote %d transaction decisions, want 0 (batches commit straight to the store)", decisions)
 	}
 }
 
@@ -123,7 +142,7 @@ func TestDurableStateMatchesAcrossStores(t *testing.T) {
 	if memRes.Output != "done" || len(memIDs) == 0 {
 		t.Fatalf("mem store: result %+v, durable objects %v", memRes, memIDs)
 	}
-	for _, backend := range []string{"file", "wal"} {
+	for _, backend := range []string{"wal"} {
 		ids, res := durable(backend)
 		if res.Output != memRes.Output || res.State != memRes.State {
 			t.Fatalf("results diverged: mem %+v, %s %+v", memRes, backend, res)
@@ -285,5 +304,69 @@ task t9 of taskclass Stage
 	}
 	if !found {
 		t.Fatal("reconfiguration-added t9 missing after WAL crash recovery")
+	}
+}
+
+// stallingStore applies a batch that touches stallPrefix, then holds
+// the committer until release is closed.
+type stallingStore struct {
+	store.Store
+	stallPrefix string
+	applied     chan struct{}
+	release     chan struct{}
+}
+
+func (s *stallingStore) ApplyBatch(ops []store.BatchOp) error {
+	if err := store.ApplyBatch(s.Store, ops); err != nil {
+		return err
+	}
+	for _, op := range ops {
+		if strings.HasPrefix(string(op.ID), s.stallPrefix) {
+			close(s.applied)
+			<-s.release
+			break
+		}
+	}
+	return nil
+}
+
+// TestInstantiateCommitsOutsideEngineLock: while Instantiate waits for
+// its batch, the engine answers lookups, a duplicate Instantiate and a
+// RecoverMatching see the reserved ID, and a StopMatching that covers it
+// keeps it from starting; the instance stays durable and recoverable.
+func TestInstantiateCommitsOutsideEngineLock(t *testing.T) {
+	st := &stallingStore{Store: store.NewMemStore(), stallPrefix: "inst/slow/",
+		applied: make(chan struct{}), release: make(chan struct{})}
+	impls := registry.New()
+	workload.Bind(impls)
+	eng := engine.New(persist.NewRegistry(st, txn.NewManager(st), nil), impls, engine.Config{})
+	defer eng.Close()
+	schema := workload.MustCompile("slow", workload.Chain(2))
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Instantiate("slow", schema, "")
+		done <- err
+	}()
+	<-st.applied
+	if _, err := eng.Instance("slow"); !errors.Is(err, engine.ErrInstanceNotFound) {
+		t.Fatalf("lookup during the commit: %v, want ErrInstanceNotFound", err)
+	}
+	if _, err := eng.Instantiate("slow", schema, ""); !errors.Is(err, engine.ErrInstanceExists) {
+		t.Fatalf("duplicate Instantiate during the commit: %v, want ErrInstanceExists", err)
+	}
+	if ids, err := eng.RecoverMatching(mustCompileSource, nil); err != nil || len(ids) != 0 {
+		t.Fatalf("RecoverMatching during the commit recovered %v, %v; want nothing", ids, err)
+	}
+	eng.StopMatching(func(id string) bool { return id == "slow" })
+	close(st.release)
+	if err := <-done; !errors.Is(err, engine.ErrStopped) {
+		t.Fatalf("Instantiate stopped mid-commit: %v, want ErrStopped", err)
+	}
+	if ids := eng.Instances(); len(ids) != 0 {
+		t.Fatalf("stopped instance started anyway: %v", ids)
+	}
+	if ids, err := eng.RecoverMatching(mustCompileSource, nil); err != nil || len(ids) != 1 {
+		t.Fatalf("RecoverMatching after the commit: %v, %v; want [slow]", ids, err)
 	}
 }

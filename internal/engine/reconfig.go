@@ -377,15 +377,13 @@ func (i *Instance) reconfigure(ops []Op) error {
 	seq := i.reconfigSeq
 	meta := i.meta
 	meta.ReconfigSeq = seq + 1
-	tx := i.eng.preg.Manager().Begin()
-	err := i.eng.preg.Object(reconfigKey(i.id, seq)).Set(tx, reconfigRecord{Ops: ops})
+	b := i.eng.preg.NewBatch()
+	err := b.Set(reconfigKey(i.id, seq), reconfigRecord{Ops: ops})
 	if err == nil {
-		err = i.eng.preg.Object(metaKey(i.id)).Set(tx, meta)
+		err = b.Set(metaKey(i.id), meta)
 	}
 	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
+		err = b.Commit()
 	}
 	if err != nil {
 		return fmt.Errorf("reconfigure: persist record: %w", err)

@@ -40,7 +40,7 @@ func (e *Engine) Recover(id string, compile SchemaCompiler) (*Instance, error) {
 // peer re-materialized a dead owner's partition) or "explicit" (direct
 // Recover call). Callers hold e.mu.
 func (e *Engine) recoverLocked(id string, compile SchemaCompiler, cause string) (*Instance, error) {
-	if _, dup := e.instances[id]; dup {
+	if e.taken(id) {
 		return nil, fmt.Errorf("recover %s: %w", id, ErrInstanceExists)
 	}
 	start := e.clock.Now()
@@ -208,7 +208,7 @@ func (e *Engine) RecoverMatchingCause(compile SchemaCompiler, match func(id stri
 		if match != nil && !match(id) {
 			continue
 		}
-		if _, live := e.instances[id]; live {
+		if e.taken(id) {
 			continue
 		}
 		if _, err := e.recoverLocked(id, compile, cause); err != nil {
@@ -225,6 +225,7 @@ func (e *Engine) RecoverMatchingCause(compile SchemaCompiler, match func(id stri
 // state left recoverable — and returns the IDs stopped. It is the
 // teardown half of partition ownership: losing a lease stops exactly
 // the partition's instances so the new owner can re-materialize them.
+// A matching instance still committing its Instantiate never starts.
 func (e *Engine) StopMatching(match func(id string) bool) []string {
 	e.mu.Lock()
 	var victims []*Instance
@@ -232,6 +233,9 @@ func (e *Engine) StopMatching(match func(id string) bool) []string {
 		if match == nil || match(id) {
 			victims = append(victims, inst)
 		}
+	}
+	for id := range e.reserved {
+		e.reserved[id] = e.reserved[id] || match == nil || match(id) // Instantiate will not start it
 	}
 	e.mu.Unlock()
 	// Stop outside the table lock: Stop blocks on the controller loop

@@ -131,14 +131,12 @@ func TestRecoverActivatesMissingConstituents(t *testing.T) {
 
 	// Simulate the crash window: the compound started (and persisted) but
 	// no constituent state ever reached the store.
+	b := r.preg.NewBatch()
 	for _, path := range []string{"app%2Ft1", "app%2Ft2"} {
-		tx := r.preg.Manager().Begin()
-		if err := r.preg.Object(store.ID("inst/cc/run/" + path)).Delete(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		b.Delete(store.ID("inst/cc/run/" + path))
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
 	}
 
 	r2 := rigOver(t, r)

@@ -138,11 +138,9 @@ func (r *run) terminalRec() *OutputRec {
 }
 
 // runKey is the store ID of a run's persistent state. The task path is
-// collapsed into a single key segment ("/" becomes "%2F") because a
-// path-per-segment store (FileStore) would otherwise need the compound's
-// own run object ("inst/i/run/app", a file) to double as the directory
-// holding its constituents ("inst/i/run/app/t1") — constituent states
-// silently failed to persist.
+// collapsed into a single key segment ("/" becomes "%2F"): a retired
+// path-per-segment store needed it, and every log since has keys in
+// this form, so it stays the on-disk format.
 func runKey(instance, path string) store.ID {
 	return store.ID("inst/" + instance + "/run/" + strings.ReplaceAll(path, "/", "%2F"))
 }

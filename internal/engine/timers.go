@@ -52,7 +52,7 @@ type delayRec struct {
 }
 
 // timerRecKey is the store ID of a pending delay's record (path escaped
-// like runKey, for the same FileStore reason).
+// like runKey).
 func timerRecKey(instance, path string) store.ID {
 	return store.ID("inst/" + instance + "/timer/" + strings.ReplaceAll(path, "/", "%2F"))
 }
@@ -194,8 +194,9 @@ func (i *Instance) handleTimer(msg timerMsg) {
 // rearmTimers re-arms the instance's pending delay records at their
 // original absolute deadlines after recovery, deleting records that no
 // longer match a live delay run, and conservatively re-arming a delay
-// run whose record was lost to a torn batch tail (the record rides the
-// batch after its run state, so this window is one torn write wide).
+// run whose record is missing. The drain batch commits a record with its
+// run state, so only a log written by an older tree, which framed each
+// op of a batch separately, can tear the two apart.
 // Called by Recover on the goroutine that owns the run map, before the
 // loop starts.
 func (i *Instance) rearmTimers() error {

@@ -109,7 +109,11 @@ func (s *Service) Instantiate(instance, schemaName, rootName string) error {
 	if err != nil {
 		return fmt.Errorf("instantiate %s: %w", instance, err)
 	}
-	_, err = s.eng.Instantiate(instance, schema, rootName)
+	// A handoff mid-commit (the store fenced or unmounted, or the
+	// instance stopped before it started) sends the caller to the owner.
+	if _, err = s.eng.Instantiate(instance, schema, rootName); err != nil && s.guard(instance) != nil {
+		return s.guard(instance)
+	}
 	return err
 }
 

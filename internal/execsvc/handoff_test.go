@@ -2,6 +2,7 @@ package execsvc_test
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,4 +97,59 @@ func TestWaitSettledHandoffRedirects(t *testing.T) {
 		t.Fatalf("administrative stop: status %v err %v, want stopped/nil", got.status, got.err)
 	}
 	close(gate)
+}
+
+// stallingStore applies a batch for an instance under prefix, then
+// holds the committer until release is closed.
+type stallingStore struct {
+	*store.MemStore
+	prefix           string
+	applied, release chan struct{}
+}
+
+func (s *stallingStore) ApplyBatch(ops []store.BatchOp) error {
+	if err := store.ApplyBatch(s.MemStore, ops); err != nil {
+		return err
+	}
+	if len(ops) > 0 && strings.HasPrefix(string(ops[0].ID), s.prefix) {
+		close(s.applied)
+		<-s.release
+	}
+	return nil
+}
+
+// TestInstantiateHandoffRedirects guards the handoff window of
+// Instantiate, which commits outside the engine lock: a partition
+// handed off while the instance's first batch is committing stops the
+// instance before it starts, and the servant must answer with the
+// ownership refusal so the routing client retries on the new owner
+// (where the durable instance is recovered and the retry deduplicated).
+func TestInstantiateHandoffRedirects(t *testing.T) {
+	st := &stallingStore{MemStore: store.NewMemStore(), prefix: "inst/hx/",
+		applied: make(chan struct{}), release: make(chan struct{})}
+	preg := persist.NewRegistry(st, txn.NewManager(st), nil)
+	eng := engine.New(preg, registry.New(), engine.Config{})
+	t.Cleanup(eng.Close)
+	repo := repository.New(preg)
+	if _, err := repo.Put("ho", workload.Chain(1)); err != nil {
+		t.Fatal(err)
+	}
+	svc := execsvc.New(eng, repo)
+	var owned atomic.Bool
+	owned.Store(true)
+	svc.SetOwnership(func(string) (bool, string) { return owned.Load(), "10.0.0.9:7" })
+
+	errc := make(chan error, 1)
+	go func() { errc <- svc.Instantiate("hx", "ho", "") }()
+	<-st.applied
+	// The manager's handoff order: ownership first, teardown second.
+	owned.Store(false)
+	eng.StopMatching(nil)
+	close(st.release)
+	if addr, ok := execsvc.NotOwnerAddr(<-errc); !ok || addr != "10.0.0.9:7" {
+		t.Fatal("Instantiate across a handoff did not redirect to the new owner")
+	}
+	if ids := eng.Instances(); len(ids) != 0 {
+		t.Fatalf("instance started on the old owner: %v", ids)
+	}
 }

@@ -147,8 +147,8 @@ func TestX5Scenario(t *testing.T) {
 
 // TestAblationConfigurations runs one diamond instance under each engine
 // configuration an ablation baseline still uses: ephemeral and persistent
-// run states over a memory store, persistent run states over a file
-// store, and the full-rescan scheduler of the S1 rows.
+// run states over a memory store, and the full-rescan scheduler of the
+// S1 rows.
 func TestAblationConfigurations(t *testing.T) {
 	schema := experiments.Compile("ablation", workload.Diamond(4))
 	run := func(t *testing.T, st store.Store, cfg engine.Config) {
@@ -167,12 +167,6 @@ func TestAblationConfigurations(t *testing.T) {
 	for _, eph := range []bool{true, false} {
 		run(t, store.NewMemStore(), engine.Config{Ephemeral: eph})
 	}
-	fs, closeStore, err := store.Open("file", t.TempDir(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeStore()
-	run(t, fs, engine.Config{})
 	for _, fullRescan := range []bool{false, true} {
 		s := experiments.NewSched("ablation", workload.Diamond(4), fullRescan)
 		if err := s.Run(); err != nil {

@@ -43,7 +43,7 @@ type DiskConfig struct {
 }
 
 // FaultStore is a store.FileOps that injects seeded disk faults between
-// a durable store (WALStore, FileStore) and the real file system — the
+// the WALStore and the real file system — the
 // disk-side sibling of the Lossy network dialer. Deterministic triggers
 // (WedgeSyncs) complement the probabilistic config for scripted
 // degradation scenarios.
@@ -131,15 +131,6 @@ func (f *FaultStore) OpenFile(name string, flag int, perm os.FileMode) (store.Fi
 	return &faultFile{fs: f, f: file}, nil
 }
 
-// CreateTemp implements store.FileOps, wrapping the handle.
-func (f *FaultStore) CreateTemp(dir, pattern string) (store.File, error) {
-	file, err := f.base.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fs: f, f: file}, nil
-}
-
 // ReadFile implements store.FileOps, with bit-flip injection.
 func (f *FaultStore) ReadFile(name string) ([]byte, error) {
 	raw, err := f.base.ReadFile(name)
@@ -165,8 +156,6 @@ func (f *FaultStore) Remove(name string) error { return f.base.Remove(name) }
 func (f *FaultStore) MkdirAll(path string, perm os.FileMode) error {
 	return f.base.MkdirAll(path, perm)
 }
-
-func (f *FaultStore) Stat(name string) (os.FileInfo, error) { return f.base.Stat(name) }
 
 // SyncDir implements store.FileOps; directory syncs fail under the same
 // conditions as file syncs.

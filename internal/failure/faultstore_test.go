@@ -199,63 +199,6 @@ func findOneSegment(t *testing.T, dir string) string {
 	return ""
 }
 
-// TestFileStoreSurfacesSyncFailures: a failed shadow fsync or directory
-// sync must reach the caller, and the object must keep its old state.
-func TestFileStoreSurfacesSyncFailures(t *testing.T) {
-	dir := t.TempDir()
-	healthy, err := store.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := healthy.Write("obj/a", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-
-	faults := failure.NewFaultStoreOver(store.OSOps{}, failure.DiskConfig{FailSyncProb: 1, Seed: 1})
-	fs, err := store.NewFileStoreWith(dir, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Write("obj/a", []byte("new")); !errors.Is(err, failure.ErrInjected) {
-		t.Fatalf("write with failing fsync = %v, want surfaced injected error", err)
-	}
-	got, err := healthy.Read("obj/a")
-	if err != nil || string(got) != "old" {
-		t.Fatalf("object after failed write = %q, %v; want old state intact", got, err)
-	}
-}
-
-// TestFileStoreENOSPC is the missing ENOSPC regression test for the
-// shadow-write path: disk-full surfaces and leaves no partial state.
-func TestFileStoreENOSPC(t *testing.T) {
-	dir := t.TempDir()
-	faults := failure.NewFaultStore(failure.DiskConfig{WriteBudget: 8})
-	fs, err := store.NewFileStoreWith(dir, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Write("obj/a", []byte("a state much longer than the budget")); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("write past budget = %v, want ENOSPC", err)
-	}
-	if _, err := fs.Read("obj/a"); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("failed write left state behind: %v", err)
-	}
-	// No shadow litter: the failed shadow must have been cleaned up
-	// (empty parent directories may remain; files may not).
-	err = filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			t.Fatalf("store dir not clean after failed write: %s", p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestWedgeStore: the simulator's injectable store view.
 func TestWedgeStore(t *testing.T) {
 	ws := failure.NewWedgeStore(store.NewMemStore())

@@ -10,7 +10,8 @@ import (
 // LockSafe enforces the engine's lock-safety contract: code holding a
 // sync.Mutex/RWMutex must not block — no channel sends/receives, no
 // select without a default, no remote orb invocations, no fsync, no
-// WaitGroup waits — because a blocked lock holder wedges every other
+// store or transaction commit (persist.Batch.Commit, txn.Txn.Commit:
+// both wait for a group-committed fsync), no WaitGroup waits — because a blocked lock holder wedges every other
 // goroutine contending for that mutex (the wheel goroutine, the drain,
 // the servant pool). It also requires every Lock/RLock to have a matching
 // Unlock/RUnlock somewhere in the same function (deferred or direct):
@@ -23,7 +24,7 @@ import (
 var LockSafe = &Analyzer{
 	Name: "locksafe",
 	Doc: "flags blocking operations (channel ops, select without default, orb calls, fsync, " +
-		"WaitGroup.Wait) while a sync.Mutex/RWMutex is held, and Lock/RLock calls with no " +
+		"batch and transaction commits, WaitGroup.Wait) while a sync.Mutex/RWMutex is held, and Lock/RLock calls with no " +
 		"matching Unlock/RUnlock in the same function",
 	Run: runLockSafe,
 }
@@ -295,6 +296,10 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 		return "orb remote call (Call)"
 	case f.Pkg() != nil && f.Pkg().Path() == "time" && f.Name() == "Sleep":
 		return "time.Sleep"
+	case pn == "persist" && tn == "Batch" && f.Name() == "Commit":
+		return "store commit (persist.Batch.Commit)"
+	case pn == "txn" && tn == "Txn" && f.Name() == "Commit":
+		return "transaction commit (txn.Txn.Commit)"
 	}
 	return ""
 }

@@ -9,19 +9,19 @@ import (
 // scheduler state — exactly the writes that must ride the drain batch.
 var runStateKeyFuncs = map[string]bool{"runKey": true, "timerRecKey": true}
 
-// PersistOrder enforces the PR-2 group-commit invariant inside
+// PersistOrder enforces the group-commit invariant inside
 // internal/engine: run-state and timer-record writes commit only through
-// the drain's persist.Batch (flushRuns), one transaction per evaluation
-// drain. A direct persist.Object Set/Delete on a run key re-introduces
-// the one-fsync-per-transition discipline (a 13x regression), and a
-// direct store write bypasses the transactional intention log entirely
-// (no crash atomicity). The pre-loop instantiation write, the one
-// exception, carries a reasoned allow directive.
+// a persist.Batch (the drain's, in flushRuns, or Instantiate's), one
+// all-or-nothing store batch per evaluation drain. A direct
+// persist.Object Set/Delete on a run key re-introduces the
+// one-transaction-per-transition discipline (a 13x regression), and a
+// direct store write bypasses the persist layer's locks and its
+// all-or-nothing batch.
 var PersistOrder = &Analyzer{
 	Name: "persistorder",
 	Doc: "in internal/engine, forbids persisting run/timer state via direct persist.Object " +
-		"Set/Delete (must ride the drain's persist.Batch in flushRuns) and any direct " +
-		"store-layer Write/Delete (bypasses the transactional intention log)",
+		"Set/Delete (must ride a persist.Batch, as flushRuns does) and any direct " +
+		"store-layer Write/Delete (bypasses the persist layer's locks and batches)",
 	Run: runPersistOrder,
 }
 
@@ -46,7 +46,7 @@ func runPersistOrder(pass *Pass) error {
 			if isMethod(pass.Info, call, "store", "Store", "Write", "Delete") {
 				f := calleeFunc(pass.Info, call)
 				pass.Reportf(call.Pos(),
-					"direct store.Store.%s from the engine bypasses the transactional persist layer (no intention log, no crash atomicity); go through persist.Batch or persist.Object",
+					"direct store.Store.%s from the engine bypasses the transactional persist layer (no locks, no all-or-nothing batch); go through persist.Batch or persist.Object",
 					f.Name())
 			}
 			return true

@@ -9,6 +9,8 @@ import (
 	"sync"
 
 	"lintdata/orb"
+	"lintdata/persist"
+	"lintdata/txn"
 )
 
 type guarded struct {
@@ -66,6 +68,18 @@ func (g *guarded) waitWhileHeld() {
 	g.wg.Wait() // want `sync\.WaitGroup\.Wait while g\.mu is held`
 }
 
+func (g *guarded) batchCommitWhileHeld(b *persist.Batch) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return b.Commit() // want `store commit \(persist\.Batch\.Commit\) while g\.mu is held`
+}
+
+func (g *guarded) txnCommitWhileHeld(tx *txn.Txn) error {
+	g.rw.Lock()
+	defer g.rw.Unlock()
+	return tx.Commit() // want `transaction commit \(txn\.Txn\.Commit\) while g\.rw is held`
+}
+
 func (g *guarded) leakyLock() {
 	g.mu.Lock() // want `g\.mu locked with no Unlock in this function`
 	g.val++
@@ -89,6 +103,20 @@ func (g *guarded) unlockThenBlock() {
 	v := g.val
 	g.mu.Unlock()
 	g.ch <- v
+}
+
+// reserveThenCommit is clean: the reservation is made under the lock,
+// the commit after it is released, and the lock is taken again only to
+// publish the result.
+func (g *guarded) reserveThenCommit(b *persist.Batch) error {
+	g.mu.Lock()
+	g.val++
+	g.mu.Unlock()
+	err := b.Commit()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.val--
+	return err
 }
 
 // selectWithDefault is clean: with a default arm the select (comm cases

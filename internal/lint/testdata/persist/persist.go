@@ -1,6 +1,6 @@
 // Package persist is the lintdata stand-in for the repository's
 // transactional persist layer: just enough surface for the persistorder
-// golden tests (the analyzer matches receiver package and type names, so
+// and locksafe golden tests (the analyzers match receiver package and type names, so
 // a stand-in with the same shape exercises the same code paths).
 package persist
 
@@ -21,3 +21,6 @@ func (*Batch) Set(key string, v any) error { return nil }
 
 // Delete stages a delete in the batch.
 func (*Batch) Delete(key string) error { return nil }
+
+// Commit applies the staged writes as one store batch.
+func (*Batch) Commit() error { return nil }

@@ -67,54 +67,82 @@ func TestBatchEmptyCommitIsNoop(t *testing.T) {
 	}
 }
 
-// TestBatchCrashRecovery pins the recovery equivalence: a batch whose
-// phase 2 failed after the decision rolls forward through the same
-// Registry.Recover path as unbatched commits, applying puts and
-// tombstones alike.
+// TestBatchCrashRecovery pins the crash contract of a batch: it is
+// all-or-nothing. A batch that fails part-way through its apply leaves
+// no state and no log behind (Registry.Recover has nothing to roll
+// forward), and a committed batch survives a restart of the WAL whole,
+// puts and deletes alike.
 func TestBatchCrashRecovery(t *testing.T) {
-	st := store.NewMemStore()
-	fs := &failWrites{Store: st, failID: "batch/x"}
-	mgr := txn.NewManager(fs)
-	reg := persist.NewRegistry(fs, mgr, nil)
-
-	tx := mgr.Begin()
-	if err := reg.Object("batch/victim").Set(tx, account{Balance: 5}); err != nil {
-		t.Fatal(err)
+	stage := func(reg *persist.Registry) *persist.Batch {
+		b := reg.NewBatch()
+		if err := b.Set("batch/x", account{Owner: "x", Balance: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Set("batch/y", account{Owner: "y", Balance: 2}); err != nil {
+			t.Fatal(err)
+		}
+		b.Delete("batch/victim")
+		return b
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	b := reg.NewBatch()
-	if err := b.Set("batch/x", account{Owner: "x", Balance: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Set("batch/y", account{Owner: "y", Balance: 2}); err != nil {
-		t.Fatal(err)
-	}
-	b.Delete("batch/victim")
-	if err := b.Commit(); err == nil {
-		t.Fatal("commit should report the injected phase-2 failure")
+	seed := func(reg *persist.Registry) {
+		tx := reg.Manager().Begin()
+		if err := reg.Object("batch/victim").Set(tx, account{Balance: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Crash: recover over the same store with fresh handles.
-	reg2 := persist.NewRegistry(st, txn.NewManager(st), nil)
-	n, err := reg2.Recover()
+	// The second put fails: nothing of the batch may land.
+	mem := store.NewMemStore()
+	reg := newReg(mem)
+	seed(reg)
+	mem.FailEvery(2)
+	if err := stage(reg).Commit(); err == nil {
+		t.Fatal("commit should report the injected failure")
+	}
+	mem.FailEvery(0)
+	reg2 := persist.NewRegistry(mem, txn.NewManager(mem), nil)
+	if n, err := reg2.Recover(); err != nil || n != 0 {
+		t.Fatalf("recover after a failed batch: %d transactions, %v; want 0, nil", n, err)
+	}
+	if ids, _ := mem.List(""); len(ids) != 1 || ids[0] != "batch/victim" {
+		t.Fatalf("failed batch left %v, want only the untouched batch/victim", ids)
+	}
+
+	// A committed batch survives a restart of the WAL.
+	dir := t.TempDir()
+	ws, err := store.NewWALStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("recovered %d transactions, want 1", n)
+	reg = persist.NewRegistry(ws, txn.NewManager(ws), nil)
+	seed(reg)
+	if err := stage(reg).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ws, err = store.NewWALStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	reg2 = persist.NewRegistry(ws, txn.NewManager(ws), nil)
+	if n, err := reg2.Recover(); err != nil || n != 0 {
+		t.Fatalf("recover after a committed batch: %d transactions, %v; want 0, nil", n, err)
 	}
 	var a account
-	if err := reg2.Object("batch/x").Peek(&a); err != nil || a.Balance != 1 {
-		t.Fatalf("batch/x after recovery = %+v, %v", a, err)
+	if err := reg2.Peek("batch/x", &a); err != nil || a.Balance != 1 {
+		t.Fatalf("batch/x after restart = %+v, %v", a, err)
 	}
-	if err := reg2.Object("batch/y").Peek(&a); err != nil || a.Balance != 2 {
-		t.Fatalf("batch/y after recovery = %+v, %v", a, err)
+	if err := reg2.Peek("batch/y", &a); err != nil || a.Balance != 2 {
+		t.Fatalf("batch/y after restart = %+v, %v", a, err)
 	}
-	if err := reg2.Object("batch/victim").Peek(&a); !errors.Is(err, persist.ErrNoState) {
-		t.Fatalf("tombstone not replayed: %v", err)
+	if err := reg2.Peek("batch/victim", &a); !errors.Is(err, persist.ErrNoState) {
+		t.Fatalf("batch delete lost across the restart: %v", err)
 	}
 }
 
@@ -157,9 +185,8 @@ func TestBatchTakesWriteLocks(t *testing.T) {
 }
 
 // TestBatchSingleDecisionOnWAL pins the fsync economics the engine
-// relies on: committing N objects in one batch over a WALStore costs a
-// constant number of fsyncs (intentions+decision, states, cleanup), not
-// O(N).
+// relies on: committing N objects in one batch over a WALStore costs
+// one fsync, not O(N), and leaves no transaction log behind.
 func TestBatchSingleDecisionOnWAL(t *testing.T) {
 	ws, err := store.NewWALStore(t.TempDir())
 	if err != nil {
@@ -177,9 +204,10 @@ func TestBatchSingleDecisionOnWAL(t *testing.T) {
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Intentions+decision is one synced append, the states another; the
-	// log cleanup is lazy (no fsync of its own).
-	if got := ws.Syncs() - before; got != 2 {
-		t.Fatalf("batch commit cost %d fsyncs, want 2 (intentions+decision, states)", got)
+	if got := ws.Syncs() - before; got != 1 {
+		t.Fatalf("batch commit cost %d fsyncs, want 1", got)
+	}
+	if ids, _ := ws.List("tx"); len(ids) != 0 {
+		t.Fatalf("batch left transaction log records: %v", ids)
 	}
 }

@@ -197,3 +197,34 @@ func TestRecoverMatchingMintsNoHandles(t *testing.T) {
 		t.Fatalf("handles %d -> %d across RecoverMatching of %d instances", before, after, n)
 	}
 }
+
+// TestInstantiateMintsNoHandles: instantiating and running N instances
+// to completion commits their metas and run states through batches, so
+// the handle cache does not grow by a handle per key per instance.
+func TestInstantiateMintsNoHandles(t *testing.T) {
+	const n = 8
+	reg := newReg(store.NewMemStore())
+	impls := registry.New()
+	workload.Bind(impls)
+	eng := engine.New(reg, impls, engine.Config{})
+	defer eng.Close()
+	schema := workload.MustCompile("chain", workload.Chain(3))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	before := reg.Handles()
+	for i := 0; i < n; i++ {
+		inst, err := eng.Instantiate(fmt.Sprintf("c%d", i), schema, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Start("main", workload.Seed()); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := inst.Wait(ctx); err != nil || res.Output != "done" {
+			t.Fatalf("instance c%d: %+v, %v", i, res, err)
+		}
+	}
+	if after := reg.Handles(); after != before {
+		t.Fatalf("handles %d -> %d across %d instances", before, after, n)
+	}
+}

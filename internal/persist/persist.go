@@ -1,6 +1,11 @@
 // Package persist provides persistent atomic objects: typed states that
-// live in an internal/store Store, are read and written under strict
-// two-phase locks, and change only through internal/txn transactions.
+// live in an internal/store Store and are read and written under strict
+// two-phase locks. They change in one of two ways. An Object changes
+// through an internal/txn transaction: atomic tasks and the repository's
+// multi-object updates. A Batch commits many objects as one
+// all-or-nothing store batch under the same locks, with no transaction
+// log: the engine's own bookkeeping (run states, timer records, metas,
+// reconfiguration records).
 //
 // It is the analogue of Arjuna's StateManager/LockManager pair that the
 // paper's execution environment builds on: "the workflow management
@@ -22,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/store"
 	"repro/internal/txn"
@@ -44,6 +50,8 @@ type Registry struct {
 	st    store.Store
 	locks *txn.LockManager
 	mgr   *txn.Manager
+	// batches numbers Batch commits: each locks as its own owner.
+	batches atomic.Uint64
 
 	mu   sync.Mutex
 	objs map[store.ID]*Object
@@ -63,9 +71,6 @@ func (r *Registry) Store() store.Store { return r.st }
 
 // Manager returns the transaction manager.
 func (r *Registry) Manager() *txn.Manager { return r.mgr }
-
-// Locks returns the lock manager.
-func (r *Registry) Locks() *txn.LockManager { return r.locks }
 
 // Object returns the persistent object with the given ID, creating the
 // in-memory handle on first use. Handles are shared: two calls with the

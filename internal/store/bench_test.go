@@ -36,12 +36,3 @@ func benchStore(b *testing.B, st store.Store) {
 func BenchmarkMemStore(b *testing.B) {
 	benchStore(b, store.NewMemStore())
 }
-
-func BenchmarkFileStore(b *testing.B) {
-	fs, err := store.NewFileStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	fs.SetSync(false)
-	benchStore(b, fs)
-}

@@ -8,15 +8,15 @@ import (
 	"repro/internal/store"
 )
 
-// TestOpenRefusesSecondLiveOwner: the durable backends are single-
-// writer, and Open's directory lock is the below-the-lease guard that
+// TestOpenRefusesSecondLiveOwner: the WAL store is single-writer, and
+// Open's directory lock is the below-the-lease guard that
 // keeps two stores (two processes, or two partition mounts in one) from
 // both being open on the same directory.
 func TestOpenRefusesSecondLiveOwner(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("directory lock is a no-op without flock")
 	}
-	for _, backend := range []string{"wal", "file"} {
+	for _, backend := range []string{"wal"} {
 		t.Run(backend, func(t *testing.T) {
 			dir := t.TempDir()
 			st, closer, err := store.Open(backend, dir, false)

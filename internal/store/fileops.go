@@ -33,27 +33,23 @@ type File interface {
 	Name() string
 }
 
-// FileOps is the file-system seam under the durable stores (WALStore
-// and FileStore). Production uses OSOps; the failure package provides a
+// FileOps is the file-system seam under the WALStore. Production uses
+// OSOps; the failure package provides a
 // seeded fault-injecting implementation so torn writes, failed fsyncs,
 // bit flips and ENOSPC can be tested deterministically.
 type FileOps interface {
 	// OpenFile opens name with the given flags (O_CREATE|O_WRONLY|...).
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	// CreateTemp creates a new temporary file in dir (os.CreateTemp).
-	CreateTemp(dir, pattern string) (File, error)
 	// ReadFile reads the whole file.
 	ReadFile(name string) ([]byte, error)
 	// ReadDir lists the directory.
 	ReadDir(name string) ([]fs.DirEntry, error)
-	// Rename renames a file (the commit point of shadow writes).
+	// Rename renames a file (the commit point of a snapshot).
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error
 	// MkdirAll creates a directory tree.
 	MkdirAll(path string, perm os.FileMode) error
-	// Stat stats a path.
-	Stat(name string) (os.FileInfo, error)
 	// SyncDir fsyncs a directory so entry creations, renames and
 	// removals in it survive power loss.
 	SyncDir(dir string) error
@@ -68,6 +64,7 @@ func (OSOps) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 
+// CreateTemp is os.CreateTemp, kept for bench/'s model disk.
 func (OSOps) CreateTemp(dir, pattern string) (File, error) {
 	return os.CreateTemp(dir, pattern)
 }
@@ -82,8 +79,11 @@ func (OSOps) Remove(name string) error { return os.Remove(name) }
 
 func (OSOps) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
-func (OSOps) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
-
-// SyncDir routes through the package-level syncDir hook so tests that
-// count directory syncs keep working for both stores.
-func (OSOps) SyncDir(dir string) error { return syncDir(dir) }
+func (OSOps) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}

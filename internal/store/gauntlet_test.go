@@ -20,8 +20,10 @@ import (
 //
 //   - no acknowledged write lost: a commit that returned success before
 //     the cut is fully present after recovery (a boundary cut at offset
-//     recordEnds[k] must recover exactly the first k operations);
-//   - no resurrection / double-apply: recovery replays exactly the op
+//     recordEnds[k] must recover exactly the first k batches);
+//   - a batch is all-or-nothing: a cut anywhere inside a batch's record
+//     recovers the state before that whole batch, never a prefix of it;
+//   - no resurrection / double-apply: recovery replays exactly the batch
 //     prefix the surviving bytes hold, nothing more;
 //   - torn tails recover silently (a crash mid-append is normal), while
 //     damage WITH valid records after it — a bit-flip mid-log — must
@@ -72,9 +74,9 @@ func gauntletWorkload(seed int64, nops int) [][]gop {
 }
 
 // recordWorkload drives the batches through a WALStore confined to one
-// segment and returns the raw segment bytes, the segment file name, and
-// the flat op sequence in applied order (one WAL record per op).
-func recordWorkload(t *testing.T, batches [][]gop) (raw []byte, segName string, ops []gop) {
+// segment and returns the raw segment bytes and the segment file name
+// (one WAL record per batch).
+func recordWorkload(t *testing.T, batches [][]gop) (raw []byte, segName string) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := store.NewWALStore(dir)
@@ -96,7 +98,6 @@ func recordWorkload(t *testing.T, batches [][]gop) (raw []byte, segName string, 
 		if err := store.ApplyBatch(s, bops); err != nil {
 			t.Fatalf("workload batch: %v", err)
 		}
-		ops = append(ops, batch...)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -109,13 +110,13 @@ func recordWorkload(t *testing.T, batches [][]gop) (raw []byte, segName string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw, filepath.Base(segs[0]), ops
+	return raw, filepath.Base(segs[0])
 }
 
 // recordEnds parses the segment framing ([4B len][4B IEEE CRC][payload],
 // big-endian) and returns the byte offset just past each record,
-// verifying every CRC on the way.
-func recordEnds(t *testing.T, raw []byte) []int64 {
+// verifying every CRC on the way and that each batch is one record.
+func recordEnds(t *testing.T, raw []byte, batches int) []int64 {
 	t.Helper()
 	var ends []int64
 	off := 0
@@ -134,20 +135,25 @@ func recordEnds(t *testing.T, raw []byte) []int64 {
 		off += 8 + n
 		ends = append(ends, int64(off))
 	}
+	if len(ends) != batches {
+		t.Fatalf("parsed %d records for %d batches (want one record per batch)", len(ends), batches)
+	}
 	return ends
 }
 
 // prefixStates returns states[k] = expected store contents after the
-// first k operations.
-func prefixStates(ops []gop) []map[string]string {
-	states := make([]map[string]string, len(ops)+1)
+// first k batches.
+func prefixStates(batches [][]gop) []map[string]string {
+	states := make([]map[string]string, len(batches)+1)
 	states[0] = map[string]string{}
 	cur := map[string]string{}
-	for k, op := range ops {
-		if op.del {
-			delete(cur, op.id)
-		} else {
-			cur[op.id] = op.data
+	for k, batch := range batches {
+		for _, op := range batch {
+			if op.del {
+				delete(cur, op.id)
+			} else {
+				cur[op.id] = op.data
+			}
 		}
 		next := make(map[string]string, len(cur))
 		for id, d := range cur {
@@ -214,12 +220,9 @@ func gauntletBudgets(t *testing.T) (stride, cuts, flips int) {
 
 func TestGauntletTruncationSweep(t *testing.T) {
 	batches := gauntletWorkload(gauntletSeed, 1100)
-	raw, segName, ops := recordWorkload(t, batches)
-	ends := recordEnds(t, raw)
-	if len(ends) != len(ops) {
-		t.Fatalf("parsed %d records for %d ops (want one record per op)", len(ends), len(ops))
-	}
-	states := prefixStates(ops)
+	raw, segName := recordWorkload(t, batches)
+	ends := recordEnds(t, raw, len(batches))
+	states := prefixStates(batches)
 	stride, _, _ := gauntletBudgets(t)
 
 	// Every record boundary is a legal crash point: recovery must hold
@@ -257,9 +260,9 @@ func TestGauntletTruncationSweep(t *testing.T) {
 
 func TestGauntletIntraRecordCuts(t *testing.T) {
 	batches := gauntletWorkload(gauntletSeed, 1100)
-	raw, segName, ops := recordWorkload(t, batches)
-	ends := recordEnds(t, raw)
-	states := prefixStates(ops)
+	raw, segName := recordWorkload(t, batches)
+	ends := recordEnds(t, raw, len(batches))
+	states := prefixStates(batches)
 	_, cuts, _ := gauntletBudgets(t)
 
 	isBoundary := make(map[int64]bool, len(ends)+1)
@@ -298,8 +301,8 @@ func TestGauntletIntraRecordCuts(t *testing.T) {
 
 func TestGauntletMidLogBitFlips(t *testing.T) {
 	batches := gauntletWorkload(gauntletSeed, 1100)
-	raw, segName, _ := recordWorkload(t, batches)
-	ends := recordEnds(t, raw)
+	raw, segName := recordWorkload(t, batches)
+	ends := recordEnds(t, raw, len(batches))
 	_, _, flips := gauntletBudgets(t)
 	if len(ends) < 2 {
 		t.Fatal("workload too small for a mid-log flip")

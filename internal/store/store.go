@@ -3,17 +3,17 @@
 // where inter-task dependency state, transaction intentions and service
 // metadata are recorded so that they survive processor crashes.
 //
-// Three implementations are provided: a crash-atomic file store (shadow
-// write + rename, the same discipline as Arjuna's object store), a
-// log-structured store with group commit (WALStore: segment files,
-// coalesced fsyncs, snapshot compaction), and an in-memory store used
-// for tests and as the ablation baseline for the persistence design
-// decision.
+// Two implementations are provided: a log-structured store with group
+// commit (WALStore: segment files, coalesced fsyncs, snapshot
+// compaction), and an in-memory store for tests and volatile runs.
+// Both apply a batch all-or-nothing, which is what lets persist commit
+// the engine's bookkeeping without a transaction log of its own.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -52,8 +52,9 @@ type BatchOp struct {
 
 // Batcher is an optional Store capability: applying many puts and
 // deletes with one durability round trip (WALStore appends the whole
-// batch and fsyncs once). Ops are applied in order; a crash may persist
-// only a prefix of the batch, never a reordering. Deleting a missing
+// batch as one record and fsyncs once). A batch is all-or-nothing: ops
+// apply in order, and a crash or a failed apply leaves the state of
+// before the batch or of after it, never a prefix. Deleting a missing
 // object within a batch is not an error.
 type Batcher interface {
 	ApplyBatch(ops []BatchOp) error
@@ -79,12 +80,16 @@ func ApplyBatchBestEffort(st Store, ops []BatchOp) error {
 	return ApplyBatch(st, ops)
 }
 
-// ApplyBatch applies ops through the store's Batcher fast path when it
-// has one, else sequentially with Write/Delete (missing deletes are
-// ignored, matching Batcher semantics).
+// ApplyBatch applies ops all-or-nothing through the store's Batcher, or
+// a MemStore's single lock hold. Any other store is a volatile wrapper
+// (a test or measurement seam) and gets the ops one by one with
+// Write/Delete (missing deletes ignored, matching Batcher semantics).
 func ApplyBatch(st Store, ops []BatchOp) error {
-	if b, ok := st.(Batcher); ok {
+	switch b := st.(type) {
+	case Batcher:
 		return b.ApplyBatch(ops)
+	case *MemStore:
+		return b.applyBatch(ops)
 	}
 	for _, op := range ops {
 		if op.Delete {
@@ -100,35 +105,29 @@ func ApplyBatch(st Store, ops []BatchOp) error {
 	return nil
 }
 
-// Open opens the named store backend: "mem" (volatile), "file" (shadow
-// files, FileStore) or "wal" (group-commit log, WALStore). dir hosts the
-// durable backends' state; sync controls fsync. The returned closer is
-// never nil. It backs cmd/wfexec's -store flag and the benchmark
-// harness, so both select backends identically.
+// Open opens the named store backend: "mem" (volatile) or "wal"
+// (group-commit log, WALStore). dir hosts the WAL; sync controls fsync.
+// The returned closer is never nil. It backs cmd/wfexec's -store flag,
+// cmd/wfrepo and the benchmark harness, so all select backends
+// identically.
 //
-// The durable backends are opened under an exclusive directory lock
-// (LockDir): both are single-writer, so a second live opener — another
-// process, or another partition mount in this one — is refused instead
-// of silently corrupting the state. The closer releases the lock.
+// The WAL is opened under an exclusive directory lock (LockDir): it is
+// single-writer, so a second live opener — another process, or another
+// partition mount in this one — is refused instead of silently
+// corrupting the state. The closer releases the lock. A directory that
+// holds data of the retired shadow-file store is refused too: the WAL
+// would see it as empty, and recovery would drop everything in it.
 func Open(backend, dir string, sync bool) (Store, func(), error) {
 	switch backend {
 	case "mem":
 		return NewMemStore(), func() {}, nil
-	case "file":
-		unlock, err := LockDir(dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		fs, err := NewFileStore(dir)
-		if err != nil {
-			unlock()
-			return nil, nil, err
-		}
-		fs.SetSync(sync)
-		return fs, unlock, nil
 	case "wal":
 		unlock, err := LockDir(dir)
 		if err != nil {
+			return nil, nil, err
+		}
+		if err := checkWALLayout(dir); err != nil {
+			unlock()
 			return nil, nil, err
 		}
 		ws, err := NewWALStore(dir)
@@ -139,8 +138,30 @@ func Open(backend, dir string, sync bool) (Store, func(), error) {
 		ws.SetSync(sync)
 		return ws, func() { _ = ws.Close(); unlock() }, nil
 	default:
-		return nil, nil, fmt.Errorf("unknown store backend %q (want wal, file or mem)", backend)
+		return nil, nil, fmt.Errorf("unknown store backend %q (want wal or mem)", backend)
 	}
+}
+
+// checkWALLayout refuses a directory holding shadow-file data and no WAL.
+func checkWALLayout(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	var shadow []string
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, walSegPrefix), strings.HasPrefix(name, walSnapPrefix):
+			return nil
+		case name == "inst", name == "txlog", name == "txdecision":
+			shadow = append(shadow, name+"/")
+		}
+	}
+	if len(shadow) > 0 {
+		return fmt.Errorf("state dir %s holds shadow-file store data (%s) and no WAL segment; "+
+			"this tree reads only the WAL format: use a fresh directory", dir, strings.Join(shadow, ", "))
+	}
+	return nil
 }
 
 // MemStore is an in-memory Store. The zero value is ready to use.
@@ -197,6 +218,31 @@ func (s *MemStore) Write(id ID, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.m[id] = cp
+	return nil
+}
+
+// applyBatch applies ops under one lock hold. A batch whose puts would
+// hit the FailEvery injection applies nothing.
+func (s *MemStore) applyBatch(ops []BatchOp) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, op := range ops {
+		if s.failEvery > 0 && !op.Delete {
+			if s.writes++; s.writes%s.failEvery == 0 {
+				return fmt.Errorf("apply batch at %s: injected store failure", op.ID)
+			}
+		}
+	}
+	if s.m == nil {
+		s.m = make(map[ID][]byte)
+	}
+	for _, op := range ops {
+		if op.Delete {
+			delete(s.m, op.ID)
+			continue
+		}
+		s.m[op.ID] = append([]byte(nil), op.Data...)
+	}
 	return nil
 }
 

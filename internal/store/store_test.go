@@ -3,6 +3,9 @@ package store_test
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,22 +17,23 @@ import (
 // behavioural conformance tests.
 func stores(t *testing.T) map[string]store.Store {
 	t.Helper()
-	fs, err := store.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	return map[string]store.Store{
+		"mem": store.NewMemStore(),
+		"wal": unsyncedWAL(t),
 	}
-	fs.SetSync(false) // tests do not simulate power loss
+}
+
+// unsyncedWAL opens a WALStore in a fresh directory, without fsync (tests do
+// not simulate power loss).
+func unsyncedWAL(t *testing.T) *store.WALStore {
+	t.Helper()
 	ws, err := store.NewWALStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws.SetSync(false)
 	t.Cleanup(func() { _ = ws.Close() })
-	return map[string]store.Store{
-		"mem":  store.NewMemStore(),
-		"file": fs,
-		"wal":  ws,
-	}
+	return ws
 }
 
 func TestStoreConformance(t *testing.T) {
@@ -164,13 +168,74 @@ func TestMemStoreFailureInjection(t *testing.T) {
 	}
 }
 
-func TestStoreRoundTripProperty(t *testing.T) {
-	mem := store.NewMemStore()
-	fs, err := store.NewFileStore(t.TempDir())
-	if err != nil {
+// TestMemStoreFailedBatchAppliesNothing: a batch is all-or-nothing on
+// MemStore too, so a batch whose third put hits FailEvery leaves the
+// first two puts and the delete unapplied.
+func TestMemStoreFailedBatchAppliesNothing(t *testing.T) {
+	st := store.NewMemStore()
+	if err := st.Write("gone", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetSync(false)
+	st.FailEvery(3)
+	err := store.ApplyBatch(st, []store.BatchOp{
+		{ID: "a", Data: []byte("1")},
+		{ID: "gone", Delete: true},
+		{ID: "b", Data: []byte("2")},
+		{ID: "c", Data: []byte("3")},
+	})
+	if err == nil {
+		t.Fatal("batch crossing the FailEvery point succeeded")
+	}
+	ids, _ := st.List("")
+	if len(ids) != 1 || ids[0] != "gone" {
+		t.Fatalf("failed batch left %v, want only the untouched [gone]", ids)
+	}
+	st.FailEvery(0)
+	if err := store.ApplyBatch(st, []store.BatchOp{{ID: "a", Data: []byte("1")}, {ID: "gone", Delete: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := st.List(""); len(ids) != 1 || ids[0] != "a" {
+		t.Fatalf("after a clean batch: %v, want [a]", ids)
+	}
+}
+
+// TestOpenRefusesShadowFileLayout: a directory written by the retired
+// shadow-file store reads as an empty WAL, so Open refuses it and names
+// what it found instead of letting recovery drop its contents.
+func TestOpenRefusesShadowFileLayout(t *testing.T) {
+	dir := t.TempDir()
+	for _, sub := range []string{"inst/a", "txlog"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, err := store.Open("wal", dir, false)
+	if err == nil {
+		t.Fatal("Open(wal) over a shadow-file directory succeeded")
+	}
+	for _, want := range []string{"shadow-file", "inst/", "txlog/"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	// The refusal released the directory lock, and a directory that also
+	// holds WAL segments is a WAL that happens to hold such names.
+	if err := os.WriteFile(filepath.Join(dir, "wal-000000000001.seg"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, closer, err := store.Open("wal", dir, false)
+	if err != nil {
+		t.Fatalf("Open(wal) with a segment present: %v", err)
+	}
+	closer()
+	if _, _, err := store.Open("file", t.TempDir(), false); err == nil {
+		t.Fatal(`Open("file") still accepted`)
+	}
+}
+
+func TestStoreRoundTripProperty(t *testing.T) {
+	mem := store.NewMemStore()
+	fs := unsyncedWAL(t)
 	// Property: any (key, value) written is read back identically from
 	// both stores, where keys are non-empty printable-ish strings.
 	f := func(key string, value []byte) bool {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,15 +17,15 @@ import (
 	"repro/internal/timers"
 )
 
-// WALStore is a log-structured Store with group commit. Every put and
-// delete is appended as a length-prefixed, checksummed record to the
-// active segment file; the current state of every object is kept in an
+// WALStore is a log-structured Store with group commit. Every Write,
+// Delete and ApplyBatch is appended as one length-prefixed, checksummed
+// record to the active segment file, so a batch is durable entirely or
+// not at all; the current state of every object is kept in an
 // in-memory read-through index rebuilt from the segments on open. All
 // writers that arrive while an fsync is in flight are coalesced into a
 // single group commit — one fsync amortised over all of them — which is
 // what makes durability cost scale with commit *batches* instead of
-// state transitions (the shadow-file FileStore pays a file create, an
-// fsync and a rename per object per write).
+// state transitions.
 //
 // Recovery tolerates a torn tail record (a crash mid-append) by
 // truncating the segment at the last fully checksummed record. Once the
@@ -128,9 +129,14 @@ func allLazy(q []*walCommit) bool {
 
 // Record ops. A record is [4B payload length][4B IEEE CRC32 of payload]
 // [payload]; the payload is the op byte followed by op-specific fields.
+// A batch of more than one op is one 'b' record, so the checksum covers
+// the whole batch and a torn tail loses all of it or none. Trees older
+// than the batch record wrote one 'p'/'d' record per op; replay still
+// reads those.
 const (
 	walOpPut      = 'p' // [4B id length][id][data]
 	walOpDelete   = 'd' // [4B id length][id]
+	walOpBatch    = 'b' // [4B op count], then per op [1B 'p'|'d'][4B id length][id], and for 'p' [4B data length][data]
 	walOpComplete = 'c' // snapshot completion marker, no fields
 )
 
@@ -240,9 +246,6 @@ func (s *WALStore) SetMaxSegmentBytes(n int64) {
 	s.maxSegmentBytes = n
 }
 
-// Dir returns the root directory of the store.
-func (s *WALStore) Dir() string { return s.dir }
-
 // Syncs reports the number of fsyncs issued so far: the group-commit
 // benchmarks assert it stays far below the number of commits.
 func (s *WALStore) Syncs() int64 { return s.syncs.Load() }
@@ -280,49 +283,128 @@ func appendRecord(buf []byte, payload []byte) []byte {
 	return append(append(buf, hdr[:]...), payload...)
 }
 
-func encodeOp(buf []byte, op BatchOp) []byte {
-	var payload []byte
-	if op.Delete {
-		payload = make([]byte, 0, 5+len(op.ID))
-		payload = append(payload, walOpDelete)
+// encodeBatch appends ops as one record: a single op keeps its 'p'/'d'
+// form, more than one become a 'b' record.
+func encodeBatch(buf []byte, ops []BatchOp) []byte {
+	size := 8 + 5
+	for _, op := range ops {
+		size += 9 + len(op.ID) + len(op.Data)
+	}
+	buf = slices.Grow(buf, size)
+	hdr := len(buf)
+	buf = buf[:hdr+8]
+	if len(ops) == 1 {
+		buf = appendOpPayload(buf, ops[0], false)
 	} else {
-		payload = make([]byte, 0, 5+len(op.ID)+len(op.Data))
-		payload = append(payload, walOpPut)
+		buf = appendBatchPayload(buf, ops)
 	}
-	var idlen [4]byte
-	binary.BigEndian.PutUint32(idlen[:], uint32(len(op.ID)))
-	payload = append(payload, idlen[:]...)
-	payload = append(payload, op.ID...)
-	if !op.Delete {
-		payload = append(payload, op.Data...)
-	}
-	return appendRecord(buf, payload)
+	payload := buf[hdr+8:]
+	binary.BigEndian.PutUint32(buf[hdr:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[hdr+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
-// decodePayload parses one record payload into an op.
-func decodePayload(payload []byte) (BatchOp, byte, error) {
+// appendOpPayload appends op's kind byte and id, then its data: to the
+// end of the record for a lone op, length-prefixed inside a batch.
+func appendOpPayload(buf []byte, op BatchOp, inBatch bool) []byte {
+	if op.Delete {
+		buf = append(buf, walOpDelete)
+	} else {
+		buf = append(buf, walOpPut)
+	}
+	buf = append(binary.BigEndian.AppendUint32(buf, uint32(len(op.ID))), op.ID...)
+	if op.Delete {
+		return buf
+	}
+	if inBatch {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(op.Data)))
+	}
+	return append(buf, op.Data...)
+}
+
+func appendBatchPayload(buf []byte, ops []BatchOp) []byte {
+	buf = binary.BigEndian.AppendUint32(append(buf, walOpBatch), uint32(len(ops)))
+	for _, op := range ops {
+		buf = appendOpPayload(buf, op, true)
+	}
+	return buf
+}
+
+// decodeRecord parses one record payload, appending its ops to dst[:0].
+// Op data aliases payload. Every length is checked against the bytes
+// left before it is used to slice or size anything, and a 'b' record
+// decodes completely or not at all.
+func decodeRecord(payload []byte, dst []BatchOp) ([]BatchOp, byte, error) {
+	ops := dst[:0]
 	if len(payload) == 0 {
-		return BatchOp{}, 0, fmt.Errorf("empty record")
+		return ops, 0, fmt.Errorf("empty record")
 	}
 	kind := payload[0]
+	rest := payload[1:]
+	// take returns the next length-prefixed field of rest.
+	take := func(what string) ([]byte, error) {
+		if len(rest) < 4 {
+			return nil, fmt.Errorf("short record")
+		}
+		n := binary.BigEndian.Uint32(rest)
+		if uint64(n) > uint64(len(rest)-4) {
+			return nil, fmt.Errorf("%s length %d exceeds record", what, n)
+		}
+		field := rest[4 : 4+n]
+		rest = rest[4+n:]
+		return field, nil
+	}
 	switch kind {
 	case walOpComplete:
-		return BatchOp{}, kind, nil
+		if len(rest) != 0 {
+			return ops, 0, fmt.Errorf("%d trailing bytes after marker", len(rest))
+		}
+		return ops, kind, nil
 	case walOpPut, walOpDelete:
-		if len(payload) < 5 {
-			return BatchOp{}, 0, fmt.Errorf("short record")
+		id, err := take("id")
+		if err != nil {
+			return ops, 0, err
 		}
-		n := binary.BigEndian.Uint32(payload[1:])
-		if int(n) > len(payload)-5 {
-			return BatchOp{}, 0, fmt.Errorf("id length %d exceeds record", n)
-		}
-		op := BatchOp{ID: ID(payload[5 : 5+n]), Delete: kind == walOpDelete}
+		op := BatchOp{ID: ID(id), Delete: kind == walOpDelete}
 		if kind == walOpPut {
-			op.Data = append([]byte(nil), payload[5+n:]...)
+			op.Data = rest
+		} else if len(rest) != 0 {
+			return ops, 0, fmt.Errorf("%d trailing bytes after delete", len(rest))
 		}
-		return op, kind, nil
+		return append(ops, op), kind, nil
+	case walOpBatch:
+		if len(rest) < 4 {
+			return ops, 0, fmt.Errorf("short record")
+		}
+		count := binary.BigEndian.Uint32(rest)
+		rest = rest[4:]
+		// Each op takes at least its kind byte and id length.
+		if uint64(count) > uint64(len(rest)/5) {
+			return ops, 0, fmt.Errorf("op count %d exceeds record", count)
+		}
+		ops = slices.Grow(ops, int(count))
+		for k := uint32(0); k < count; k++ {
+			if len(rest) == 0 || (rest[0] != walOpPut && rest[0] != walOpDelete) {
+				return ops[:0], 0, fmt.Errorf("batch op %d: short or of unknown kind", k)
+			}
+			op := BatchOp{Delete: rest[0] == walOpDelete}
+			rest = rest[1:]
+			id, err := take("id")
+			if err == nil && !op.Delete {
+				op.Data, err = take("data")
+			}
+			if err != nil {
+				return ops[:0], 0, err
+			}
+			op.ID = ID(id)
+			ops = append(ops, op)
+		}
+		if len(rest) != 0 {
+			return ops[:0], 0, fmt.Errorf("%d trailing bytes after batch", len(rest))
+		}
+		return ops, kind, nil
 	default:
-		return BatchOp{}, 0, fmt.Errorf("unknown record op %q", kind)
+		return ops, 0, fmt.Errorf("unknown record op %q", kind)
 	}
 }
 
@@ -337,12 +419,22 @@ func decodePayload(payload []byte) (BatchOp, byte, error) {
 // If a valid record DOES exist after it, acknowledged writes sit beyond
 // the damage: silent truncation would drop them, so the scan fails loud
 // with ErrCorrupt and the store refuses to open.
+//
+// A record's ops reach apply only once the whole record has checksummed
+// and decoded, so a batch is applied entirely or not at all.
 func scanRecords(ops FileOps, path string, apply func(BatchOp) error) (valid int64, complete bool, err error) {
 	raw, err := ops.ReadFile(path)
 	if err != nil {
 		return 0, false, err
 	}
+	return scanBytes(raw, path, apply)
+}
+
+// scanBytes is scanRecords over segment bytes already in memory; path
+// only labels errors. The op data apply sees aliases raw.
+func scanBytes(raw []byte, path string, apply func(BatchOp) error) (valid int64, complete bool, err error) {
 	off := 0
+	var batch []BatchOp
 	bail := func(reason string) (int64, bool, error) {
 		if tear := findRecordAfter(raw, off+1); tear >= 0 {
 			return int64(off), false, fmt.Errorf(
@@ -367,8 +459,9 @@ func scanRecords(ops FileOps, path string, apply func(BatchOp) error) (valid int
 		if crc32.ChecksumIEEE(payload) != sum {
 			return bail("record checksum mismatch")
 		}
-		op, kind, derr := decodePayload(payload)
-		if derr != nil {
+		var kind byte
+		var derr error
+		if batch, kind, derr = decodeRecord(payload, batch); derr != nil {
 			return bail("undecodable record")
 		}
 		off += 8 + n
@@ -376,8 +469,10 @@ func scanRecords(ops FileOps, path string, apply func(BatchOp) error) (valid int
 			return int64(off), true, nil
 		}
 		if apply != nil {
-			if err := apply(op); err != nil {
-				return int64(off), false, err
+			for _, op := range batch {
+				if err := apply(op); err != nil {
+					return int64(off), false, err
+				}
 			}
 		}
 	}
@@ -394,6 +489,7 @@ func findRecordAfter(raw []byte, from int) int {
 	if from < 0 {
 		from = 0
 	}
+	var scratch []BatchOp
 	for off := from; off <= len(raw)-8; off++ {
 		n := int(binary.BigEndian.Uint32(raw[off:]))
 		if n < 0 || len(raw)-off-8 < n {
@@ -403,7 +499,8 @@ func findRecordAfter(raw []byte, from int) int {
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(raw[off+4:]) {
 			continue
 		}
-		if _, _, err := decodePayload(payload); err != nil {
+		var err error
+		if scratch, _, err = decodeRecord(payload, scratch); err != nil {
 			continue
 		}
 		return off
@@ -463,7 +560,7 @@ func (s *WALStore) load() error {
 			delete(s.index, op.ID)
 			return nil
 		}
-		s.index[op.ID] = op.Data
+		s.index[op.ID] = append([]byte(nil), op.Data...)
 		return nil
 	}
 
@@ -564,7 +661,7 @@ func (s *WALStore) Read(id ID) ([]byte, error) {
 func (s *WALStore) Write(id ID, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	return s.commit([]BatchOp{{ID: id, Data: cp}})
+	return s.commit([]BatchOp{{ID: id, Data: cp}}, false)
 }
 
 // Delete implements Store.
@@ -586,11 +683,11 @@ func (s *WALStore) Delete(id ID) error {
 	if !ok {
 		return fmt.Errorf("delete %s: %w", id, ErrNotFound)
 	}
-	return s.commit([]BatchOp{{ID: id, Delete: true}})
+	return s.commit([]BatchOp{{ID: id, Delete: true}}, false)
 }
 
-// ApplyBatch implements Batcher: the whole batch is appended in order
-// and made durable with a single fsync.
+// ApplyBatch implements Batcher: the whole batch is appended as one
+// record and made durable with a single fsync.
 func (s *WALStore) ApplyBatch(ops []BatchOp) error {
 	return s.applyBatch(ops, false)
 }
@@ -613,7 +710,7 @@ func (s *WALStore) applyBatch(ops []BatchOp, lazy bool) error {
 			cps[i].Data = append([]byte(nil), op.Data...)
 		}
 	}
-	return s.commitLazy(cps, lazy)
+	return s.commit(cps, lazy)
 }
 
 // List implements Store.
@@ -634,17 +731,10 @@ func (s *WALStore) List(prefix ID) ([]ID, error) {
 // committer to arrive while no flush is active becomes the leader,
 // takes flushMu, and drains the queue — one write + one fsync per
 // drain — until it is empty; everyone else just waits on their done
-// channel and finds their batch made durable by a leader's drain.
-func (s *WALStore) commit(ops []BatchOp) error {
-	return s.commitLazy(ops, false)
-}
-
-func (s *WALStore) commitLazy(ops []BatchOp, lazy bool) error {
-	var buf []byte
-	for _, op := range ops {
-		buf = encodeOp(buf, op)
-	}
-	c := &walCommit{buf: buf, ops: ops, done: make(chan error, 1), lazy: lazy}
+// channel and finds their batch made durable by a leader's drain. A
+// lazy commit waives its own fsync (see walCommit.lazy).
+func (s *WALStore) commit(ops []BatchOp, lazy bool) error {
+	c := &walCommit{buf: encodeBatch(nil, ops), ops: ops, done: make(chan error, 1), lazy: lazy}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -860,8 +950,8 @@ func (s *WALStore) compactLocked() error {
 		return err
 	}
 	var buf []byte
-	for _, op := range live {
-		buf = encodeOp(buf[:0], op)
+	for k := range live {
+		buf = encodeBatch(buf[:0], live[k:k+1])
 		if _, err := f.Write(buf); err != nil {
 			_ = f.Close()
 			_ = s.ops.Remove(tmp)

@@ -283,6 +283,67 @@ func TestWALApplyBatchSingleSync(t *testing.T) {
 	}
 }
 
+// TestWALBatchIsOneRecord: a batch replays as a whole after a reopen
+// (later ops win, deletes apply), and a tear anywhere in its one record
+// loses the whole batch but nothing committed before it.
+func TestWALBatchIsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := newWAL(t, dir)
+	if err := s.Write("pre", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write("keep", []byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(newestSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchStart := int(info.Size())
+	if err := s.ApplyBatch([]store.BatchOp{
+		{ID: "b/1", Data: []byte("one")},
+		{ID: "pre", Delete: true},
+		{ID: "b/2", Data: nil},
+		{ID: "b/1", Data: []byte("one-v2")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := newestSegment(t, dir)
+	whole, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newWAL(t, dir)
+	ids, _ := s2.List("")
+	if fmt.Sprint(ids) != "[b/1 b/2 keep]" {
+		t.Fatalf("after reopen: %v, want [b/1 b/2 keep]", ids)
+	}
+	if got, _ := s2.Read("b/1"); string(got) != "one-v2" {
+		t.Fatalf("b/1 = %q, want the batch's later put", got)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cut the batch record at every byte: none of it may survive.
+	for cut := batchStart + 1; cut < len(whole); cut++ {
+		tdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(tdir, filepath.Base(seg)), whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s3 := newWAL(t, tdir)
+		ids, _ := s3.List("")
+		_ = s3.Close()
+		if fmt.Sprint(ids) != "[keep pre]" {
+			t.Fatalf("batch record cut at byte %d of %d: recovered %v, want [keep pre]", cut-batchStart, len(whole)-batchStart, ids)
+		}
+	}
+}
+
 // TestWALGroupCommitCoalesces hammers the store from many goroutines and
 // checks that concurrent commits shared fsyncs: far fewer syncs than
 // writes. The injected disk latency makes the overlap deterministic —

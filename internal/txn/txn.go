@@ -10,6 +10,13 @@
 // semantics the engine relies on — atomic multi-object updates, abort
 // means no effect, recovery replays decided transactions — are provided
 // here on top of an internal/store Store.
+//
+// Transactions serve what needs more than one all-or-nothing store
+// batch: atomic tasks (the engine hands each its own transaction), the
+// repository service's multi-object updates, and Manager.Recover rolling
+// forward the decided transactions a crash left in the log, including
+// the drain commits of older trees. The engine's own bookkeeping commits
+// through persist.Batch, straight to the store, without a log.
 package txn
 
 import (
