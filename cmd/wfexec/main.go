@@ -179,16 +179,14 @@ func run(addr, dir, storeKind, repoAddr, naming, balance string, doRecover, noSy
 	defer sched.Close()
 
 	if doRecover {
-		ids, err := engine.ListPersisted(fs)
-		if err != nil {
-			return err
-		}
+		// One pass: the store is listed once and each distinct schema
+		// compiled once. A failed instance does not stop its peers.
+		ids, err := eng.RecoverMatching(sema.CompileSource, nil)
 		for _, id := range ids {
-			if err := svc.Recover(id); err != nil {
-				fmt.Fprintf(os.Stderr, "recover instance %s: %v\n", id, err)
-				continue
-			}
 			fmt.Printf("recovered instance %s\n", id)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "recover instances:\n%v\n", err)
 		}
 		// Schedules re-arm only after every instance is recovered: a
 		// past-due schedule fires a catch-up run immediately, and that

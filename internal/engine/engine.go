@@ -311,7 +311,9 @@ func (e *Engine) taken(id string) bool {
 
 // SchemaCompiler turns persisted schema source back into a compiled
 // schema during recovery; callers pass sema.CompileSource (the engine
-// does not import the front end).
+// does not import the front end). A recovery pass calls it once per
+// distinct (name, source) and shares the result among that schema's
+// instances; a reconfigured instance works on a clone.
 type SchemaCompiler func(name string, src []byte) (*core.Schema, error)
 
 // Instance returns a running instance by ID.

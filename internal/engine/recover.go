@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -13,11 +14,16 @@ import (
 // This file is the engine's re-materialization path: everything that
 // turns persisted instance state back into a live controller. Recover
 // is the single-instance entry point (the original crash-restart path);
-// ListPersisted, RecoverMatching and StopMatching are the set-oriented
-// faces the sharded coordinator tier drives — a partition lease won
+// RecoverMatching and StopMatching are the set-oriented faces the
+// sharded coordinator tier drives — a partition lease won
 // re-materializes exactly that partition's instances, a lease lost
 // stops exactly them — and the passivation roadmap item will reuse the
 // same load path to wake a hibernated instance.
+//
+// A recovery pass pays per-store and per-schema work once, not once per
+// instance: it lists the store once and hands each instance its slice
+// of the listing, and it compiles each distinct schema once (see
+// recoveryPass).
 
 // Recover rebuilds an instance from its persisted state after a crash or
 // restart: the schema is recompiled from its stored source, persisted
@@ -31,20 +37,57 @@ import (
 func (e *Engine) Recover(id string, compile SchemaCompiler) (*Instance, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.recoverLocked(id, compile, "explicit")
+	keys, err := e.preg.Store().List(instPrefix(id))
+	if err != nil {
+		return nil, fmt.Errorf("recover %s: %w", id, err)
+	}
+	return e.recoverLocked(id, keys, newRecoveryPass(compile), "explicit")
 }
 
-// recoverLocked loads, registers and starts one persisted instance.
-// cause labels the recovery counter and span: "restart" (process came
-// back and re-materialized its own state), "lease-steal" (a takeover
-// peer re-materialized a dead owner's partition) or "explicit" (direct
-// Recover call). Callers hold e.mu.
-func (e *Engine) recoverLocked(id string, compile SchemaCompiler, cause string) (*Instance, error) {
+// recoveryPass is the state one recovery pass shares across the
+// instances it loads: the schemas it has compiled, keyed by name and
+// source. Instances of one schema share the compiled *core.Schema, as
+// live Instantiate callers do; a reconfigured instance works on a
+// clone. The pass is dropped when it ends, so there is no cache to
+// bound or invalidate.
+type recoveryPass struct {
+	compile SchemaCompiler
+	schemas map[schemaKey]*core.Schema
+}
+
+type schemaKey struct{ name, source string }
+
+func newRecoveryPass(compile SchemaCompiler) *recoveryPass {
+	return &recoveryPass{compile: compile, schemas: make(map[schemaKey]*core.Schema)}
+}
+
+// schema returns the compiled schema for (name, source), compiling it on
+// first use in the pass.
+func (p *recoveryPass) schema(name, source string) (*core.Schema, error) {
+	k := schemaKey{name, source}
+	if s, ok := p.schemas[k]; ok {
+		return s, nil
+	}
+	s, err := p.compile(name, []byte(source))
+	if err != nil {
+		return nil, err
+	}
+	p.schemas[k] = s
+	return s, nil
+}
+
+// recoverLocked loads, registers and starts one persisted instance from
+// keys, its slice of the store listing. cause labels the recovery
+// counter and span: "restart" (process came back and re-materialized
+// its own state), "lease-steal" (a takeover peer re-materialized a dead
+// owner's partition) or "explicit" (direct Recover call). Callers hold
+// e.mu.
+func (e *Engine) recoverLocked(id string, keys []store.ID, pass *recoveryPass, cause string) (*Instance, error) {
 	if e.taken(id) {
 		return nil, fmt.Errorf("recover %s: %w", id, ErrInstanceExists)
 	}
 	start := e.clock.Now()
-	inst, err := e.loadInstanceLocked(id, compile)
+	inst, err := e.loadInstanceLocked(id, keys, pass)
 	if err != nil {
 		return nil, err
 	}
@@ -66,14 +109,15 @@ func (e *Engine) recoverLocked(id string, compile SchemaCompiler, cause string) 
 }
 
 // loadInstanceLocked re-materializes one instance from the store into a
-// ready-to-start *Instance: schema recompiled, reconfigurations
-// re-applied, run states reloaded, compounds re-activated, delay timers
-// re-armed at their original absolute deadlines, and everything marked
-// dirty for one full evaluation. It does not register the instance or
-// start its controller — that split is what lets set-oriented callers
-// (partition takeover, future passivation wake-ups) reuse the load path.
-// Callers hold e.mu.
-func (e *Engine) loadInstanceLocked(id string, compile SchemaCompiler) (*Instance, error) {
+// ready-to-start *Instance: schema recompiled (once per pass),
+// reconfigurations re-applied, run states reloaded, compounds
+// re-activated, delay timers re-armed at their original absolute
+// deadlines, and everything marked dirty for one full evaluation. keys
+// are the instance's own keys, in lexical order, from the pass's
+// listing. It does not register the instance or start its controller —
+// that split is what lets set-oriented callers (partition takeover,
+// future passivation wake-ups) reuse the load path. Callers hold e.mu.
+func (e *Engine) loadInstanceLocked(id string, keys []store.ID, pass *recoveryPass) (*Instance, error) {
 	var meta instanceMeta
 	if err := e.preg.Peek(metaKey(id), &meta); err != nil {
 		return nil, fmt.Errorf("recover %s: %w", id, err)
@@ -83,18 +127,23 @@ func (e *Engine) loadInstanceLocked(id string, compile SchemaCompiler) (*Instanc
 		// post-recovery spans still form a (new) tree.
 		meta.TraceID = obs.NewID()
 	}
-	schema, err := compile(meta.SchemaName, []byte(meta.SchemaSource))
+	schema, err := pass.schema(meta.SchemaName, meta.SchemaSource)
 	if err != nil {
 		return nil, fmt.Errorf("recover %s: recompile schema: %w", id, err)
+	}
+	if meta.ReconfigSeq > 0 {
+		// The compiled schema is shared with the pass's other instances
+		// of it: reconfigure a copy, as live Reconfigure does.
+		schema = schema.Clone()
 	}
 	root, err := schema.Root(meta.RootName)
 	if err != nil {
 		return nil, fmt.Errorf("recover %s: %w", id, err)
 	}
-	inst := e.newInstance(id, schema, root)
-	inst.meta = meta
-
-	// Re-apply persisted reconfigurations in order.
+	// Re-apply persisted reconfigurations in order, before newInstance
+	// derives the evaluation order and dependency index, so
+	// reconfiguration-added tasks are evaluated and listed after
+	// recovery.
 	for seq := 0; seq < meta.ReconfigSeq; seq++ {
 		var rec reconfigRecord
 		if err := e.preg.Peek(reconfigKey(id, seq), &rec); err != nil {
@@ -106,20 +155,12 @@ func (e *Engine) loadInstanceLocked(id string, compile SchemaCompiler) (*Instanc
 			}
 		}
 	}
+	inst := e.newInstance(id, schema, root)
+	inst.meta = meta
 	inst.reconfigSeq = meta.ReconfigSeq
-	// newInstance derived the evaluation order (and the dependency index)
-	// from the freshly recompiled schema, before the reconfigurations
-	// above mutated it; recompute so reconfiguration-added tasks are
-	// evaluated and listed again after recovery.
-	inst.rebuildOrder()
 
 	// Reload run states.
-	prefix := store.ID("inst/" + id + "/run/")
-	ids, err := e.preg.Store().List(prefix)
-	if err != nil {
-		return nil, fmt.Errorf("recover %s: %w", id, err)
-	}
-	for _, sid := range ids {
+	for _, sid := range keysWithPrefix(keys, runPrefix(id)) {
 		var st runState
 		if err := e.preg.Peek(sid, &st); err != nil {
 			return nil, fmt.Errorf("recover %s: run %s: %w", id, sid, err)
@@ -149,7 +190,7 @@ func (e *Engine) loadInstanceLocked(id string, compile SchemaCompiler) (*Instanc
 	// original absolute deadlines — a delay survives the crash and fires
 	// once at the instant it was armed for, not a full duration after
 	// restart.
-	if err := inst.rearmTimers(); err != nil {
+	if err := inst.rearmTimers(keysWithPrefix(keys, timerPrefix(id))); err != nil {
 		return nil, fmt.Errorf("recover %s: %w", id, err)
 	}
 	// Recovery cannot tell which dependencies became satisfiable while the
@@ -158,27 +199,47 @@ func (e *Engine) loadInstanceLocked(id string, compile SchemaCompiler) (*Instanc
 	return inst, nil
 }
 
-// ListPersisted returns the distinct instance IDs with persisted state
-// in st, in lexical order — the inventory a recovery pass (or a
-// partition takeover) walks.
-func ListPersisted(st store.Store) ([]string, error) {
-	ids, err := st.List("inst/")
-	if err != nil {
-		return nil, err
+// keysWithPrefix returns the run of keys, which are in lexical order,
+// that start with prefix: in a sorted listing every prefix's keys are
+// contiguous.
+func keysWithPrefix(keys []store.ID, prefix store.ID) []store.ID {
+	lo := sort.Search(len(keys), func(i int) bool { return keys[i] >= prefix })
+	hi := lo
+	for hi < len(keys) && strings.HasPrefix(string(keys[hi]), string(prefix)) {
+		hi++
 	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, id := range ids {
-		rest := strings.TrimPrefix(string(id), "inst/")
-		inst, _, _ := strings.Cut(rest, "/")
-		if inst == "" || seen[inst] {
-			continue
+	return keys[lo:hi]
+}
+
+// persistedInstance is one instance's share of a store listing.
+type persistedInstance struct {
+	id   string
+	keys []store.ID
+}
+
+// groupByInstance splits a lexically ordered listing of "inst/" into
+// per-instance runs of keys, ordered by instance ID — the inventory a
+// recovery pass (or a partition takeover) walks. Each instance's keys
+// share the prefix "inst/<id>/" and so are contiguous; the groups are
+// re-sorted by ID because key order and ID order differ when one ID is
+// a prefix of another ("inst/a-b/" sorts before "inst/a/").
+func groupByInstance(keys []store.ID) []persistedInstance {
+	var out []persistedInstance
+	for i := 0; i < len(keys); {
+		rest := strings.TrimPrefix(string(keys[i]), "inst/")
+		id, _, _ := strings.Cut(rest, "/")
+		prefix := instPrefix(id)
+		j := i + 1
+		for j < len(keys) && strings.HasPrefix(string(keys[j]), string(prefix)) {
+			j++
 		}
-		seen[inst] = true
-		out = append(out, inst)
+		if id != "" {
+			out = append(out, persistedInstance{id: id, keys: keys[i:j]})
+		}
+		i = j
 	}
-	sort.Strings(out)
-	return out, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
 }
 
 // RecoverMatching re-materializes every persisted instance accepted by
@@ -194,28 +255,30 @@ func (e *Engine) RecoverMatching(compile SchemaCompiler, match func(id string) b
 
 // RecoverMatchingCause is RecoverMatching with an explicit recovery
 // cause for the engine_recoveries_total counter and the recovery spans
-// ("restart", "lease-steal", "explicit").
+// ("restart", "lease-steal", "explicit"). The pass lists the store once
+// and compiles each distinct schema once.
 func (e *Engine) RecoverMatchingCause(compile SchemaCompiler, match func(id string) bool, cause string) ([]string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ids, err := ListPersisted(e.preg.Store())
+	keys, err := e.preg.Store().List("inst/")
 	if err != nil {
 		return nil, err
 	}
+	pass := newRecoveryPass(compile)
 	var recovered []string
 	var errs []error
-	for _, id := range ids {
-		if match != nil && !match(id) {
+	for _, p := range groupByInstance(keys) {
+		if match != nil && !match(p.id) {
 			continue
 		}
-		if e.taken(id) {
+		if e.taken(p.id) {
 			continue
 		}
-		if _, err := e.recoverLocked(id, compile, cause); err != nil {
+		if _, err := e.recoverLocked(p.id, p.keys, pass, cause); err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		recovered = append(recovered, id)
+		recovered = append(recovered, p.id)
 	}
 	return recovered, errors.Join(errs...)
 }

@@ -145,6 +145,16 @@ func runKey(instance, path string) store.ID {
 	return store.ID("inst/" + instance + "/run/" + strings.ReplaceAll(path, "/", "%2F"))
 }
 
+// instPrefix is the prefix every store ID of an instance starts with.
+func instPrefix(instance string) store.ID {
+	return store.ID("inst/" + instance + "/")
+}
+
+// runPrefix is the prefix of an instance's run-state keys.
+func runPrefix(instance string) store.ID {
+	return store.ID("inst/" + instance + "/run/")
+}
+
 // metaKey is the store ID of an instance's metadata.
 func metaKey(instance string) store.ID {
 	return store.ID("inst/" + instance + "/meta")

@@ -57,7 +57,7 @@ func timerRecKey(instance, path string) store.ID {
 	return store.ID("inst/" + instance + "/timer/" + strings.ReplaceAll(path, "/", "%2F"))
 }
 
-// timerPrefix lists an instance's pending delay records.
+// timerPrefix is the prefix of an instance's pending delay records.
 func timerPrefix(instance string) store.ID {
 	return store.ID("inst/" + instance + "/timer/")
 }
@@ -191,19 +191,16 @@ func (i *Instance) handleTimer(msg timerMsg) {
 	}
 }
 
-// rearmTimers re-arms the instance's pending delay records at their
-// original absolute deadlines after recovery, deleting records that no
-// longer match a live delay run, and conservatively re-arming a delay
-// run whose record is missing. The drain batch commits a record with its
-// run state, so only a log written by an older tree, which framed each
-// op of a batch separately, can tear the two apart.
+// rearmTimers re-arms the instance's pending delay records, whose keys
+// the recovery pass's listing supplies, at their original absolute
+// deadlines after recovery, deleting records that no longer match a
+// live delay run, and conservatively re-arming a delay run whose record
+// is missing. The drain batch commits a record with its run state, so
+// only a log written by an older tree, which framed each op of a batch
+// separately, can tear the two apart.
 // Called by Recover on the goroutine that owns the run map, before the
 // loop starts.
-func (i *Instance) rearmTimers() error {
-	ids, err := i.eng.preg.Store().List(timerPrefix(i.id))
-	if err != nil {
-		return err
-	}
+func (i *Instance) rearmTimers(ids []store.ID) error {
 	for _, sid := range ids {
 		var rec delayRec
 		if err := i.eng.preg.Peek(sid, &rec); err != nil {

@@ -2,6 +2,8 @@ package execsvc_test
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +140,26 @@ func (w *shardWorld) preferredSplit(t *testing.T) map[int]*shardCoord {
 	return owners
 }
 
+// persistedInstances returns the distinct instance IDs with state in
+// st, in lexical order.
+func persistedInstances(st store.Store) ([]string, error) {
+	keys, err := st.List("inst/")
+	if err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool)
+	var out []string
+	for _, k := range keys {
+		id, _, _ := strings.Cut(strings.TrimPrefix(string(k), "inst/"), "/")
+		if id != "" && !seen[id] {
+			seen[id] = true
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
 func newTestShardedClient(t *testing.T, w *shardWorld) *execsvc.ShardedClient {
 	t.Helper()
 	nc := orb.NewNamingClient(orb.Dial(w.namingSrv.Addr(), orb.ClientConfig{}))
@@ -233,7 +255,7 @@ func TestShardedClientFollowsFailover(t *testing.T) {
 			continue
 		}
 		w.grant(t, survivor, p)
-		ids, err := engine.ListPersisted(w.partStores[p])
+		ids, err := persistedInstances(w.partStores[p])
 		if err != nil {
 			t.Fatal(err)
 		}
