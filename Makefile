@@ -47,7 +47,7 @@ race:
 # green every run; a test that fails once in a hundred shows up here
 # long before it reddens an unrelated change.
 flake:
-	$(GO) test -count=20 ./internal/engine ./internal/orb ./internal/taskexec ./internal/store ./internal/shard ./internal/sim ./internal/execsvc ./internal/persist
+	$(GO) test -count=20 ./internal/core ./internal/engine ./internal/orb ./internal/taskexec ./internal/store ./internal/shard ./internal/sim ./internal/execsvc ./internal/persist
 
 # Coverage profile plus a printed total (the last line of cover -func).
 cover:

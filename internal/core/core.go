@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // OutputKind distinguishes the four output types of a task class
@@ -260,15 +261,32 @@ type Task struct {
 	Constituents []*Task
 	// Outputs are the compound's output mappings.
 	Outputs []*OutputBinding
+
+	// path and plan memoise Path and Plan; both are safe to fill from
+	// concurrent instances sharing the schema.
+	path atomic.Pointer[string]
+	plan atomic.Pointer[Plan]
 }
 
 // Path returns the slash-separated instance path from the root, used as a
-// stable identifier in the engine and stores.
+// stable identifier in the engine and stores. It is built on the first
+// call and shared after.
 func (t *Task) Path() string {
-	if t.Parent == nil {
-		return t.Name
+	if p := t.path.Load(); p != nil {
+		return *p
 	}
-	return t.Parent.Path() + "/" + t.Name
+	p := t.Name
+	if t.Parent != nil {
+		p = t.Parent.Path() + "/" + t.Name
+	}
+	t.path.Store(&p)
+	return p
+}
+
+// forgetPaths drops the memoised paths of t's subtree; called when t
+// moves to another parent.
+func (t *Task) forgetPaths() {
+	t.Walk(func(x *Task) { x.path.Store(nil) })
 }
 
 // Constituent returns the named direct constituent, or nil.

@@ -41,6 +41,7 @@ func (s *Schema) AddTask(scope *Task, nt *Task) error {
 		}
 	}
 	nt.Parent = scope
+	nt.forgetPaths()
 	trial := append(append([]*Task{}, sibs...), nt)
 	if err := checkScopeCycles(scope, trial); err != nil {
 		return fmt.Errorf("add task %s: %w", nt.Name, err)
@@ -82,6 +83,7 @@ func (s *Schema) RemoveTask(scope *Task, name string) error {
 		s.Tasks = out
 	}
 	victim.Parent = nil
+	victim.forgetPaths()
 	return nil
 }
 

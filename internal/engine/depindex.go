@@ -6,95 +6,46 @@ import (
 	"repro/internal/core"
 )
 
-// This file implements the dependency-indexed dirty-set scheduler. At
-// instance build time (and after every reconfiguration) the schema is
-// walked once to compute a reverse-dependency index: for each producer
-// task path, the consumer task paths whose input-set bindings or
-// compound-output mappings hold a source referencing it. At run time,
-// every observable state transition of a run enqueues only its indexed
-// consumers onto a dirty worklist, and evaluate drains the worklist in
-// schema-DFS declaration order — so one completion event costs
-// O(consumers) instead of the legacy full rescan's O(tasks), while
-// input-set and alternative selection stay bit-identical to the
-// full-rescan baseline (Config.FullRescan, kept as the ablation and the
-// oracle for the differential tests).
+// This file implements the dependency-indexed dirty-set scheduler. The
+// instance's evaluation plan (core.Plan, built once per schema root and
+// shared by every instance of the schema; rebuilt on the clone a
+// reconfiguration swaps in) holds a reverse-dependency index: for each
+// producer task path, the positions of the consumer tasks whose
+// input-set bindings or compound-output mappings hold a source
+// referencing it. At run time, every observable state transition of a
+// run enqueues only its indexed consumers onto a dirty worklist, and
+// evaluate drains the worklist in schema-DFS declaration order — so one
+// completion event costs O(consumers) instead of the legacy full
+// rescan's O(tasks), while input-set and alternative selection stay
+// bit-identical to the full-rescan baseline (Config.FullRescan, kept as
+// the ablation and the oracle for the differential tests).
 
-// consumers lists the tasks whose dependencies reference one producer,
-// split by the producer event that can create source availability.
-type consumers struct {
-	// onStart holds consumers with input-conditioned sources on the
-	// producer (input sharing): they can only gain availability when the
-	// producer consumes an input set.
-	onStart []string
-	// onOutput holds consumers with output-conditioned, unconditioned or
-	// notification sources: they can gain availability when the producer
-	// releases a mark, repeats, or terminates.
-	onOutput []string
+// usePlan installs the evaluation plan of the instance's root tree and
+// empties the worklist, whose positions index the previous plan. Called
+// at construction and when a reconfiguration swaps the schema, on the
+// goroutine owning the run map.
+func (i *Instance) usePlan() {
+	i.plan = i.root.Plan()
+	i.dirty = make([]bool, len(i.plan.Paths))
+	i.dirtyHeap = i.dirtyHeap[:0]
 }
 
-// rebuildDepIndex recomputes the reverse-dependency index from the
-// current schema. Called by rebuildOrder (construction and
-// reconfiguration), on the goroutine owning the run map.
-func (i *Instance) rebuildDepIndex() {
-	i.deps = make(map[string]*consumers, len(i.order))
-	type edge struct {
-		producer, consumer string
-		onStart            bool
-	}
-	seen := make(map[edge]struct{})
-	add := func(s *core.Source, consumer string) {
-		e := edge{producer: s.Task.Path(), consumer: consumer, onStart: s.Cond == core.CondInput}
-		if _, dup := seen[e]; dup {
-			return
-		}
-		seen[e] = struct{}{}
-		c := i.deps[e.producer]
-		if c == nil {
-			c = &consumers{}
-			i.deps[e.producer] = c
-		}
-		if e.onStart {
-			c.onStart = append(c.onStart, consumer)
-		} else {
-			c.onOutput = append(c.onOutput, consumer)
-		}
-	}
-	i.root.Walk(func(t *core.Task) {
-		consumer := t.Path()
-		record := func(deps []*core.ObjectDep, nots []*core.NotificationDep) {
-			for _, od := range deps {
-				for _, s := range od.Sources {
-					add(s, consumer)
-				}
-			}
-			for _, nd := range nots {
-				for _, s := range nd.Sources {
-					add(s, consumer)
-				}
-			}
-		}
-		for _, set := range t.InputSets {
-			record(set.Objects, set.Notifications)
-		}
-		for _, ob := range t.Outputs {
-			record(ob.Objects, ob.Notifications)
-		}
-	})
-}
-
-// markDirty enqueues one task path for re-evaluation. Paths not in the
-// current schema (stale consumers of a reconfigured-away producer) are
-// dropped here; each map entry is mirrored by exactly one index in the
-// worklist heap or the drain's deferred batch.
+// markDirty enqueues one task path for re-evaluation. Paths outside the
+// plan are dropped.
 func (i *Instance) markDirty(path string) {
-	if _, dup := i.dirty[path]; dup {
+	if idx, ok := i.plan.Index[path]; ok {
+		i.markDirtyAt(idx)
+	}
+}
+
+// markDirtyAt enqueues the task at plan position idx; each marked
+// position is mirrored by exactly one entry in the worklist heap or the
+// drain's deferred batch.
+func (i *Instance) markDirtyAt(idx int) {
+	if i.dirty[idx] {
 		return
 	}
-	idx, ok := i.orderIdx[path]
-	if !ok {
-		return
-	}
-	i.dirty[path] = struct{}{}
+	i.dirty[idx] = true
 	i.heapPush(idx)
 }
 
@@ -109,9 +60,9 @@ func (i *Instance) markAllDirty() {
 // noteStarted enqueues the consumers that input-share with the run at
 // path; called when that run consumes an input set.
 func (i *Instance) noteStarted(path string) {
-	if c := i.deps[path]; c != nil {
-		for _, consumer := range c.onStart {
-			i.markDirty(consumer)
+	if c := i.plan.Consumers(path); c != nil {
+		for _, idx := range c.OnStart {
+			i.markDirtyAt(idx)
 		}
 	}
 }
@@ -120,9 +71,9 @@ func (i *Instance) noteStarted(path string) {
 // unconditioned or notification sources reference the run at path;
 // called when that run releases a mark, repeats, or terminates.
 func (i *Instance) noteOutput(path string) {
-	if c := i.deps[path]; c != nil {
-		for _, consumer := range c.onOutput {
-			i.markDirty(consumer)
+	if c := i.plan.Consumers(path); c != nil {
+		for _, idx := range c.OnOutput {
+			i.markDirtyAt(idx)
 		}
 	}
 }
@@ -135,7 +86,7 @@ func (i *Instance) noteOutput(path string) {
 // alternative selection — which depend on the order progress is applied —
 // bit-identical to the full-rescan scheduler.
 func (i *Instance) drainDirty() {
-	for len(i.dirty) > 0 {
+	for len(i.dirtyHeap) > 0 {
 		pos := -1
 		var deferred []int
 		for len(i.dirtyHeap) > 0 {
@@ -147,8 +98,8 @@ func (i *Instance) drainDirty() {
 				continue
 			}
 			pos = idx
-			delete(i.dirty, i.order[idx])
-			i.evalRun(i.order[idx])
+			i.dirty[idx] = false
+			i.evalRun(i.plan.Paths[idx])
 		}
 		for _, idx := range deferred {
 			i.heapPush(idx)
@@ -220,7 +171,7 @@ func (i *Instance) evalRun(path string) {
 // the worklist missed — i.e. the two schedulers would not have reached
 // the same fixed point.
 func (i *Instance) verifyFixedPoint() {
-	for _, path := range i.order {
+	for _, path := range i.plan.Paths {
 		r, ok := i.runs[path]
 		if !ok || !i.active(r) {
 			continue
@@ -236,7 +187,7 @@ func (i *Instance) verifyFixedPoint() {
 				panic(fmt.Sprintf("scheduler divergence: %s has no input sets and should have started", path))
 			}
 			for _, set := range r.task.InputSets {
-				if _, ok := i.satisfiedSet(r, set); ok {
+				if _, ok := i.satisfied(r, set.Objects, set.Notifications); ok {
 					panic(fmt.Sprintf("scheduler divergence: %s input set %q satisfiable at quiescence", path, set.Name))
 				}
 			}
@@ -245,7 +196,7 @@ func (i *Instance) verifyFixedPoint() {
 				if ob.Output.Kind == core.Mark && r.st.MarksEmitted[ob.Output.Name] {
 					continue
 				}
-				if _, ok := i.satisfiedOutput(r, ob); ok {
+				if _, ok := i.satisfied(r, ob.Objects, ob.Notifications); ok {
 					panic(fmt.Sprintf("scheduler divergence: %s output %q satisfiable at quiescence", path, ob.Output.Name))
 				}
 			}

@@ -61,8 +61,8 @@ type Config struct {
 	// lateness; timers never fire early). Zero selects the wheel's
 	// default (1ms).
 	TimerTick time.Duration
-	// Ephemeral disables persistence of run states (no transactions on
-	// the store, no crash recovery). It is the baseline for the paper's
+	// Ephemeral disables persistence: the engine writes nothing to the
+	// store and cannot recover. It is the baseline for the paper's
 	// design decision to record dependencies in persistent atomic
 	// objects: the bench local-ephemeral workload runs this way.
 	Ephemeral bool
@@ -234,7 +234,7 @@ var ErrStopped = errors.New("instance stopped")
 // Instantiate creates a new instance of the schema rooted at rootName
 // (empty selects the single top-level task) and starts its controller.
 // The instance is persisted immediately so it can be recovered: its meta
-// (unless the engine is Ephemeral) and its root run, in one batch.
+// and its root run, in one batch. An Ephemeral engine writes nothing.
 func (e *Engine) Instantiate(id string, schema *core.Schema, rootName string) (*Instance, error) {
 	root, err := schema.Root(rootName)
 	if err != nil {
@@ -267,15 +267,15 @@ func (e *Engine) Instantiate(id string, schema *core.Schema, rootName string) (*
 	rootRun := inst.newRun(root, runState{Path: root.Path(), State: RunWaiting})
 	inst.runs[root.Path()] = rootRun
 	inst.markDirty(root.Path())
-	b := e.preg.NewBatch()
 	if !e.cfg.Ephemeral {
+		b := e.preg.NewBatch()
 		err = b.Set(metaKey(id), inst.meta)
-	}
-	if err == nil {
-		err = b.Set(runKey(id, root.Path()), rootRun.st)
-	}
-	if err == nil {
-		err = b.Commit()
+		if err == nil {
+			err = b.Set(runKey(id, root.Path()), rootRun.st)
+		}
+		if err == nil {
+			err = b.Commit()
+		}
 	}
 
 	e.mu.Lock()
@@ -433,14 +433,14 @@ type Instance struct {
 
 	// Controller plumbing. runs is owned by the loop goroutine after
 	// construction; external access goes through reqCh.
-	runs     map[string]*run
-	order    []string       // task paths in schema DFS order
-	orderIdx map[string]int // path -> position in order
-	// deps is the reverse-dependency index and dirty the worklist it
-	// feeds (dirtyHeap holds the same entries as schema-order indexes);
-	// all owned by the goroutine owning runs. See depindex.go.
-	deps      map[string]*consumers
-	dirty     map[string]struct{}
+	runs map[string]*run
+	// plan is the root tree's evaluation plan: task paths in schema DFS
+	// order and the reverse-dependency index, shared read-only with the
+	// schema's other instances. dirty marks, by plan position, the runs
+	// queued for re-evaluation and dirtyHeap holds the same positions;
+	// both owned by the goroutine owning runs. See depindex.go.
+	plan      *core.Plan
+	dirty     []bool
 	dirtyHeap []int
 	// pendingRuns buffers run-state writes (nil value = delete) between
 	// batch flushes, pendingOrder their first-buffered order; both owned
@@ -483,8 +483,9 @@ type Instance struct {
 	// owns runs (the loop, or construction/recovery before the loop).
 	genSeq int
 
-	// Observable state, guarded by mu; changed is closed and replaced on
-	// every update so waiters can select against contexts.
+	// Observable state, guarded by mu. changed exists only while someone
+	// waits: a waiter makes it, the next update closes and drops it, so
+	// waiters can select against contexts.
 	mu      sync.Mutex
 	changed chan struct{}
 	events  []Event
@@ -500,7 +501,6 @@ func (e *Engine) newInstance(id string, schema *core.Schema, root *core.Task) *I
 		schema:        schema,
 		root:          root,
 		runs:          make(map[string]*run),
-		dirty:         make(map[string]struct{}),
 		pendingRuns:   make(map[string]*run),
 		pendingTimers: make(map[string]*delayRec),
 		evCh:          make(chan completionMsg, 64),
@@ -509,52 +509,45 @@ func (e *Engine) newInstance(id string, schema *core.Schema, root *core.Task) *I
 		reqCh:         make(chan func()),
 		stopCh:        make(chan struct{}),
 		loopDone:      make(chan struct{}),
-		changed:       make(chan struct{}),
 		status:        StatusCreated,
 	}
 	if n := e.cfg.MaxRemoteInflight; n > 0 {
 		inst.remoteGate = make(chan struct{}, n)
 	}
-	inst.rebuildOrder()
+	inst.usePlan()
 	return inst
 }
 
 // ID returns the instance identifier.
 func (i *Instance) ID() string { return i.id }
 
-// newRun allocates a run with a fresh generation. Must be called from the
-// goroutine owning the run map.
+// newRun allocates a run with a fresh generation. A run recovered in
+// Executing gets its cancel channel here; any other gets one when it
+// starts (startRun). Must be called from the goroutine owning the run
+// map.
 func (i *Instance) newRun(task *core.Task, st runState) *run {
 	i.genSeq++
-	return &run{task: task, st: st, gen: i.genSeq, cancel: make(chan struct{})}
+	r := &run{task: task, st: st, gen: i.genSeq}
+	if st.State == RunExecuting {
+		r.cancel = make(chan struct{})
+	}
+	return r
 }
 
 // Schema returns the instance's (possibly reconfigured) schema.
 func (i *Instance) Schema() *core.Schema { return i.schema }
-
-// rebuildOrder recomputes the deterministic evaluation order (schema DFS
-// from the root) and the reverse-dependency index derived from it.
-// Called at construction and after reconfiguration, on the loop
-// goroutine.
-func (i *Instance) rebuildOrder() {
-	i.order = i.order[:0]
-	i.root.Walk(func(t *core.Task) { i.order = append(i.order, t.Path()) })
-	i.orderIdx = make(map[string]int, len(i.order))
-	for idx, path := range i.order {
-		i.orderIdx[path] = idx
-	}
-	i.rebuildDepIndex()
-}
 
 // Scans returns the cumulative number of run examinations performed by
 // the evaluator. The scheduler regression tests assert that a completion
 // event re-examines only the indexed consumers of the completed task.
 func (i *Instance) Scans() int64 { return i.scans.Load() }
 
-// notify closes the change channel (under mu) so waiters re-check.
+// notifyLocked wakes the waiters, if any, so they re-check (mu held).
 func (i *Instance) notifyLocked() {
-	close(i.changed)
-	i.changed = make(chan struct{})
+	if i.changed != nil {
+		close(i.changed)
+		i.changed = nil
+	}
 }
 
 // emit appends an event to the trace, stamped by the engine clock.
@@ -654,6 +647,9 @@ func (i *Instance) Start(set string, inputs registry.Objects) error {
 func (i *Instance) waitPred(ctx context.Context, pred func() bool) error {
 	i.mu.Lock()
 	for !pred() {
+		if i.changed == nil {
+			i.changed = make(chan struct{})
+		}
 		ch := i.changed
 		i.mu.Unlock()
 		select {
@@ -724,7 +720,7 @@ func (i *Instance) Snapshot() ([]TaskStatus, error) {
 	select {
 	case i.reqCh <- func() {
 		rows := make([]TaskStatus, 0, len(i.runs))
-		for _, path := range i.order {
+		for _, path := range i.plan.Paths {
 			r, ok := i.runs[path]
 			if !ok {
 				continue
@@ -755,7 +751,7 @@ func (i *Instance) Snapshot() ([]TaskStatus, error) {
 // more concurrent mutation).
 func (i *Instance) offlineSnapshot() []TaskStatus {
 	rows := make([]TaskStatus, 0, len(i.runs))
-	for _, path := range i.order {
+	for _, path := range i.plan.Paths {
 		r, ok := i.runs[path]
 		if !ok {
 			continue

@@ -133,7 +133,7 @@ func (i *Instance) resumeExecuting() {
 			// starting: redo the start.
 			i.startRun(root, i.meta.StartSet, i.meta.StartInputs.Clone())
 		}
-		for _, path := range i.order {
+		for _, path := range i.plan.Paths {
 			r, ok := i.runs[path]
 			if !ok {
 				continue
@@ -196,7 +196,7 @@ func (i *Instance) evaluateFullRescan() {
 	progress := true
 	for progress {
 		progress = false
-		for _, path := range i.order {
+		for _, path := range i.plan.Paths {
 			r, ok := i.runs[path]
 			if !ok {
 				continue
@@ -252,7 +252,7 @@ func (i *Instance) trySatisfy(r *run) bool {
 		return true
 	}
 	for _, set := range r.task.InputSets {
-		vals, ok := i.satisfiedSet(r, set)
+		vals, ok := i.satisfied(r, set.Objects, set.Notifications)
 		if ok {
 			i.startRun(r, set.Name, vals)
 			return true
@@ -261,21 +261,25 @@ func (i *Instance) trySatisfy(r *run) bool {
 	return false
 }
 
-// satisfiedSet resolves every dependency of one input set, honouring
-// first-available alternative order.
-func (i *Instance) satisfiedSet(r *run, set *core.InputSetBinding) (registry.Objects, bool) {
-	vals := make(registry.Objects, len(set.Objects))
-	for _, od := range set.Objects {
-		v, ok := i.resolveObject(r, od)
-		if !ok {
-			return nil, false
-		}
-		vals[od.Name] = v
-	}
-	for _, nd := range set.Notifications {
+// satisfied resolves the object and notification dependencies of one
+// input set or compound output mapping, honouring first-available
+// alternative order, and returns the objects if every one resolves. Most
+// checks find a join not yet ready, so the values map is built only
+// once all of them have resolved.
+func (i *Instance) satisfied(r *run, objs []*core.ObjectDep, nots []*core.NotificationDep) (registry.Objects, bool) {
+	for _, nd := range nots {
 		if !i.resolveNotification(r, nd) {
 			return nil, false
 		}
+	}
+	for _, od := range objs {
+		if _, ok := i.resolveObject(r, od); !ok {
+			return nil, false
+		}
+	}
+	vals := make(registry.Objects, len(objs))
+	for _, od := range objs {
+		vals[od.Name], _ = i.resolveObject(r, od)
 	}
 	return vals, true
 }
@@ -423,7 +427,7 @@ func (i *Instance) tryCompoundOutputs(r *run) bool {
 		if ob.Output.Kind == core.Mark && r.st.MarksEmitted[ob.Output.Name] {
 			continue
 		}
-		vals, ok := i.satisfiedOutput(r, ob)
+		vals, ok := i.satisfied(r, ob.Objects, ob.Notifications)
 		if !ok {
 			continue
 		}
@@ -449,24 +453,6 @@ func (i *Instance) tryCompoundOutputs(r *run) bool {
 		}
 	}
 	return progress
-}
-
-// satisfiedOutput resolves one output mapping of a compound.
-func (i *Instance) satisfiedOutput(r *run, ob *core.OutputBinding) (registry.Objects, bool) {
-	vals := make(registry.Objects, len(ob.Objects))
-	for _, od := range ob.Objects {
-		v, ok := i.resolveObject(r, od)
-		if !ok {
-			return nil, false
-		}
-		vals[od.Name] = v
-	}
-	for _, nd := range ob.Notifications {
-		if !i.resolveNotification(r, nd) {
-			return nil, false
-		}
-	}
-	return vals, true
 }
 
 // repeatRun re-enters a task into Wait after a repeat outcome: counters
@@ -656,13 +642,14 @@ func (i *Instance) spawnWorker(r *run) {
 			"attempt": fmt.Sprint(r.st.Attempt), "set": r.st.ChosenSet,
 		},
 	}
-	w := workerInfo{
+	c := &taskCtx{inst: i, done: make(chan struct{}), w: workerInfo{
 		path: r.st.Path, gen: r.gen, code: r.task.Code(), atomic: r.task.Atomic(),
 		location: r.task.Implementation["location"],
 		attempt:  r.st.Attempt, iteration: r.st.Iteration, set: r.st.ChosenSet,
 		inputs: r.st.Inputs.Clone(), deadline: deadline, cancel: r.cancel,
 		traceID: r.actSpan.TraceID, spanID: r.actSpan.SpanID,
-	}
+	}}
+	w := &c.w
 	if deadline > 0 {
 		// The id carries gen AND attempt: retries of one generation must
 		// not let a finished attempt's disarm cancel its successor's
@@ -674,14 +661,15 @@ func (i *Instance) spawnWorker(r *run) {
 	}
 	i.inflight++
 	i.wg.Add(1)
-	go i.worker(w)
+	go i.worker(c)
 }
 
 // worker executes one activation of a task implementation off the loop
 // goroutine. Atomic tasks run inside a transaction committed only for
 // non-abort outcomes, so an abort outcome truly has no effects.
-func (i *Instance) worker(w workerInfo) {
+func (i *Instance) worker(c *taskCtx) {
 	defer i.wg.Done()
+	w := &c.w
 	send := func(res registry.Result, err error) {
 		select {
 		case i.evCh <- completionMsg{path: w.path, gen: w.gen, res: res, err: err}:
@@ -748,35 +736,33 @@ func (i *Instance) worker(w workerInfo) {
 	var tx *txn.Txn
 	if w.atomic {
 		tx = i.eng.preg.Manager().Begin()
+		c.tx = tx
 	}
-	ctx := &taskCtx{inst: i, w: w, tx: tx}
-	type wres struct {
-		res registry.Result
-		err error
-	}
-	resCh := make(chan wres, 1)
 	// Bounded by f returning: implementations observe taskCtx.Done, and
-	// the 1-buffered resCh means the send never blocks after abandonment.
-	//wflint:allow goroutinestop bounded by f's return; taskCtx cancellation reaches f and resCh is buffered
+	// the result lands in c, so finishing after abandonment blocks on
+	// nothing.
+	//wflint:allow goroutinestop bounded by f's return; taskCtx cancellation reaches f and the result is stored, not sent
 	go func() {
+		defer close(c.done)
 		defer func() {
 			if p := recover(); p != nil {
-				resCh <- wres{err: fmt.Errorf("implementation panic: %v", p)}
+				c.err = fmt.Errorf("implementation panic: %v", p)
 			}
 		}()
-		res, err := f(ctx)
-		resCh <- wres{res: res, err: err}
+		c.res, c.err = f(c)
 	}()
 	if w.deadlineID != "" {
 		defer i.eng.timers.Cancel(w.deadlineID)
 	}
-	var out wres
+	var res registry.Result
+	var err error
 	select {
-	case out = <-resCh:
+	case <-c.done:
+		res, err = c.res, c.err
 	case <-w.deadlineCh:
-		out = wres{err: fmt.Errorf("deadline %v exceeded", w.deadline)}
+		err = fmt.Errorf("deadline %v exceeded", w.deadline)
 	case <-w.cancel:
-		out = wres{err: errCancelled}
+		err = errCancelled
 	case <-i.stopCh:
 		if tx != nil {
 			_ = tx.Abort()
@@ -785,15 +771,15 @@ func (i *Instance) worker(w workerInfo) {
 	}
 	if tx != nil {
 		// Commit application effects only for non-abort terminations.
-		if out.err == nil && !isAbortOutput(i, w.path, out.res.Output) {
-			if err := tx.Commit(); err != nil {
-				out = wres{err: fmt.Errorf("commit task transaction: %w", err)}
+		if err == nil && !isAbortOutput(i, w.path, res.Output) {
+			if cerr := tx.Commit(); cerr != nil {
+				res, err = registry.Result{}, fmt.Errorf("commit task transaction: %w", cerr)
 			}
 		} else {
 			_ = tx.Abort()
 		}
 	}
-	send(out.res, out.err)
+	send(res, err)
 }
 
 // isAbortOutput reports whether the named output of the task at path is
@@ -1111,11 +1097,16 @@ func (i *Instance) flushRuns() error {
 	return nil
 }
 
-// taskCtx implements registry.Context.
+// taskCtx implements registry.Context for one activation. The worker
+// owns it; the implementation's goroutine stores its result in res/err
+// and then closes done.
 type taskCtx struct {
 	inst *Instance
 	w    workerInfo
 	tx   *txn.Txn
+	done chan struct{}
+	res  registry.Result
+	err  error
 }
 
 var _ registry.Context = (*taskCtx)(nil)

@@ -377,24 +377,28 @@ func (i *Instance) reconfigure(ops []Op) error {
 	seq := i.reconfigSeq
 	meta := i.meta
 	meta.ReconfigSeq = seq + 1
-	b := i.eng.preg.NewBatch()
-	err := b.Set(reconfigKey(i.id, seq), reconfigRecord{Ops: ops})
-	if err == nil {
-		err = b.Set(metaKey(i.id), meta)
-	}
-	if err == nil {
-		err = b.Commit()
-	}
-	if err != nil {
-		return fmt.Errorf("reconfigure: persist record: %w", err)
+	if !i.eng.cfg.Ephemeral {
+		b := i.eng.preg.NewBatch()
+		err := b.Set(reconfigKey(i.id, seq), reconfigRecord{Ops: ops})
+		if err == nil {
+			err = b.Set(metaKey(i.id), meta)
+		}
+		if err == nil {
+			err = b.Commit()
+		}
+		if err != nil {
+			return fmt.Errorf("reconfigure: persist record: %w", err)
+		}
 	}
 	i.meta = meta
 	i.reconfigSeq = meta.ReconfigSeq
 
-	// Swap the schema in and remap live runs onto the new task graph.
+	// Swap the schema in and remap live runs onto the new task graph. The
+	// clone's plan is built here, after its ops: the shared plan of the
+	// old schema is never touched.
 	i.schema = clone
 	i.root = cloneRoot
-	i.rebuildOrder()
+	i.usePlan()
 	for path, r := range i.runs {
 		nt := clone.Lookup(path)
 		if nt == nil {
@@ -415,7 +419,7 @@ func (i *Instance) reconfigure(ops []Op) error {
 		r.task = nt
 	}
 	// Newly added tasks inside executing compounds become waiting runs.
-	for _, path := range i.order {
+	for _, path := range i.plan.Paths {
 		if _, exists := i.runs[path]; exists {
 			continue
 		}
@@ -430,13 +434,10 @@ func (i *Instance) reconfigure(ops []Op) error {
 			i.emit(Event{Task: path, Kind: EventTaskWaiting})
 		}
 	}
-	// rebuildOrder above recomputed the reverse-dependency index for the
-	// new schema; a changed dependency may be satisfiable by state that
-	// produced no fresh event, so every live run re-enters the worklist.
-	// Any entries enqueued before the swap hold stale schema-order
-	// indexes; reset the worklist first (markAllDirty re-covers them).
-	clear(i.dirty)
-	i.dirtyHeap = i.dirtyHeap[:0]
+	// usePlan above installed the new schema's reverse-dependency index
+	// and emptied the worklist, whose positions indexed the old plan; a
+	// changed dependency may be satisfiable by state that produced no
+	// fresh event, so every live run re-enters the worklist.
 	i.markAllDirty()
 	descs := make([]string, len(ops))
 	for idx, op := range ops {

@@ -106,19 +106,25 @@ func (m instanceMeta) AppendRecord(b []byte) ([]byte, error) {
 
 // ReadRecord implements persist.Record.
 func (m *instanceMeta) ReadRecord(data []byte) error {
+	source, err := m.readRecord(data)
+	m.SchemaSource = string(source)
+	return err
+}
+
+// readRecord decodes every field but SchemaSource, whose bytes it
+// returns as a view of data: a recovery pass looks them up among the
+// schemas it has compiled and copies them only for a new one.
+func (m *instanceMeta) readRecord(data []byte) (source []byte, err error) {
 	r := persist.NewRecordReader(data)
-	*m = instanceMeta{
-		ID:           r.Str(),
-		SchemaName:   r.Str(),
-		SchemaSource: r.Str(),
-		RootName:     r.Str(),
-		Started:      r.Bool(),
-		StartSet:     r.Str(),
-		StartInputs:  r.Objects(),
-		ReconfigSeq:  r.Int(),
-		TraceID:      r.Str(),
-	}
-	return r.Finish()
+	*m = instanceMeta{ID: r.Str(), SchemaName: r.Str()}
+	source = r.Bytes()
+	m.RootName = r.Str()
+	m.Started = r.Bool()
+	m.StartSet = r.Str()
+	m.StartInputs = r.Objects()
+	m.ReconfigSeq = r.Int()
+	m.TraceID = r.Str()
+	return source, r.Finish()
 }
 
 // AppendRecord implements persist.Record.

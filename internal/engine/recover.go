@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/store"
 )
 
@@ -47,33 +48,76 @@ func (e *Engine) Recover(id string, compile SchemaCompiler) (*Instance, error) {
 // recoveryPass is the state one recovery pass shares across the
 // instances it loads: the schemas it has compiled, keyed by name and
 // source. Instances of one schema share the compiled *core.Schema, as
-// live Instantiate callers do; a reconfigured instance works on a
-// clone. The pass is dropped when it ends, so there is no cache to
-// bound or invalidate.
+// live Instantiate callers do, and one copy of its source; a
+// reconfigured instance works on a clone. The pass is dropped when it
+// ends, so there is no cache to bound or invalidate.
 type recoveryPass struct {
 	compile SchemaCompiler
-	schemas map[schemaKey]*core.Schema
+	schemas map[schemaKey]passSchema
 }
 
 type schemaKey struct{ name, source string }
 
-func newRecoveryPass(compile SchemaCompiler) *recoveryPass {
-	return &recoveryPass{compile: compile, schemas: make(map[schemaKey]*core.Schema)}
+// passSchema is one schema a pass compiled and the source text every
+// recovered meta of it shares.
+type passSchema struct {
+	schema *core.Schema
+	source string
 }
 
-// schema returns the compiled schema for (name, source), compiling it on
-// first use in the pass.
-func (p *recoveryPass) schema(name, source string) (*core.Schema, error) {
-	k := schemaKey{name, source}
-	if s, ok := p.schemas[k]; ok {
-		return s, nil
-	}
-	s, err := p.compile(name, []byte(source))
+func newRecoveryPass(compile SchemaCompiler) *recoveryPass {
+	return &recoveryPass{compile: compile, schemas: make(map[schemaKey]passSchema)}
+}
+
+// meta reads id's meta record and the compiled schema it names. The
+// schema source is looked up as a view of the record's bytes and copied
+// only for a schema the pass has not compiled yet, so the metas of one
+// schema share one source string.
+func (p *recoveryPass) meta(st store.Store, id string) (instanceMeta, *core.Schema, error) {
+	data, err := st.Read(metaKey(id))
 	if err != nil {
-		return nil, err
+		return instanceMeta{}, nil, fmt.Errorf("read meta: %w", err)
 	}
-	p.schemas[k] = s
-	return s, nil
+	var v metaView
+	if persist.IsRecord(data) {
+		err = persist.Decode(data, &v)
+	} else {
+		// A gob-era meta: the source arrives as a string of its own.
+		err = persist.Decode(data, &v.meta)
+		v.source = []byte(v.meta.SchemaSource)
+	}
+	if err != nil {
+		return instanceMeta{}, nil, fmt.Errorf("decode meta: %w", err)
+	}
+	k := schemaKey{v.meta.SchemaName, string(v.source)}
+	ps, ok := p.schemas[k]
+	if !ok {
+		s, err := p.compile(v.meta.SchemaName, v.source)
+		if err != nil {
+			return instanceMeta{}, nil, fmt.Errorf("recompile schema: %w", err)
+		}
+		ps = passSchema{schema: s, source: s.Source}
+		if ps.source != string(v.source) {
+			ps.source = string(v.source)
+		}
+		k.source = ps.source
+		p.schemas[k] = ps
+	}
+	v.meta.SchemaSource = ps.source
+	return v.meta, ps.schema, nil
+}
+
+// metaView decodes a codec meta record with its schema source left as a
+// view of the record (see instanceMeta.readRecord).
+type metaView struct {
+	meta   instanceMeta
+	source []byte
+}
+
+// ReadRecord is the decode half of persist.Record.
+func (v *metaView) ReadRecord(data []byte) (err error) {
+	v.source, err = v.meta.readRecord(data)
+	return err
 }
 
 // recoverLocked loads, registers and starts one persisted instance from
@@ -118,18 +162,14 @@ func (e *Engine) recoverLocked(id string, keys []store.ID, pass *recoveryPass, c
 // that split is what lets set-oriented callers (partition takeover,
 // future passivation wake-ups) reuse the load path. Callers hold e.mu.
 func (e *Engine) loadInstanceLocked(id string, keys []store.ID, pass *recoveryPass) (*Instance, error) {
-	var meta instanceMeta
-	if err := e.preg.Peek(metaKey(id), &meta); err != nil {
+	meta, schema, err := pass.meta(e.preg.Store(), id)
+	if err != nil {
 		return nil, fmt.Errorf("recover %s: %w", id, err)
 	}
 	if meta.TraceID == "" {
 		// Meta persisted before activation tracing existed: re-mint so
 		// post-recovery spans still form a (new) tree.
 		meta.TraceID = obs.NewID()
-	}
-	schema, err := pass.schema(meta.SchemaName, meta.SchemaSource)
-	if err != nil {
-		return nil, fmt.Errorf("recover %s: recompile schema: %w", id, err)
 	}
 	if meta.ReconfigSeq > 0 {
 		// The compiled schema is shared with the pass's other instances
@@ -181,7 +221,7 @@ func (e *Engine) loadInstanceLocked(id string, keys []store.ID, pass *recoveryPa
 	// first persists leaves the compound Executing with members missing;
 	// re-run activation (existing runs are kept) so recovery cannot stall
 	// there. Walk in schema order so outer compounds activate first.
-	for _, path := range inst.order {
+	for _, path := range inst.plan.Paths {
 		if r, ok := inst.runs[path]; ok && r.st.State == RunExecuting && r.task.Compound {
 			inst.activateConstituents(r.task)
 		}

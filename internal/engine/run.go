@@ -98,7 +98,7 @@ type run struct {
 	// cancelled activations are dropped.
 	gen int
 	// cancel is closed to interrupt an executing implementation (force
-	// abort, shutdown).
+	// abort, shutdown); nil until the run executes.
 	cancel chan struct{}
 	// delayArmed reports a pending first-class delay timer on the wheel
 	// (see timers.go); such runs execute without a worker.

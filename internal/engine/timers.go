@@ -217,7 +217,7 @@ func (i *Instance) rearmTimers(ids []store.ID) error {
 		}
 		i.armDelay(r, rec.Deadline)
 	}
-	for _, path := range i.order {
+	for _, path := range i.plan.Paths {
 		r, ok := i.runs[path]
 		if !ok || r.st.State != RunExecuting || r.task.Compound || r.delayArmed {
 			continue

@@ -51,6 +51,17 @@ type recordAppender interface {
 	AppendRecord(dst []byte) ([]byte, error)
 }
 
+// recordReader is the decode half of Record.
+type recordReader interface {
+	ReadRecord(data []byte) error
+}
+
+// IsRecord reports whether data is a codec record (of any version)
+// rather than a legacy gob stream.
+func IsRecord(data []byte) bool {
+	return len(data) > 0 && data[0] >= versionLo && data[0] <= versionHi
+}
+
 // Encode returns the state image of v: a codec record when v implements
 // AppendRecord, else a gob stream.
 func Encode(v any) ([]byte, error) {
@@ -68,13 +79,13 @@ func Encode(v any) ([]byte, error) {
 // Decode reads a state image written by Encode, by this tree or an
 // older one, into v.
 func Decode(data []byte, v any) error {
-	if len(data) == 0 || data[0] < versionLo || data[0] > versionHi {
+	if !IsRecord(data) {
 		return gobDecode(data, v)
 	}
 	if data[0] != recordV1 {
 		return fmt.Errorf("decode state: %w 0x%02x", ErrRecordVersion, data[0])
 	}
-	r, ok := v.(Record)
+	r, ok := v.(recordReader)
 	if !ok {
 		return fmt.Errorf("decode state: codec record into %T", v)
 	}
@@ -364,7 +375,9 @@ func (r *RecordReader) nilableLen(minSize int) (n int, isNil bool) {
 	return r.count(v-1, minSize), false
 }
 
-func (r *RecordReader) bytes() []byte {
+// Bytes reads a value written by AppendString as a view of the
+// record's bytes, without copying: valid only while they are.
+func (r *RecordReader) Bytes() []byte {
 	n := r.Len(1)
 	b := r.buf[:n]
 	r.buf = r.buf[n:]
@@ -373,7 +386,7 @@ func (r *RecordReader) bytes() []byte {
 
 // Str reads a value written by AppendString. (Not String: a reader
 // must not satisfy fmt.Stringer, or printing it would consume a field.)
-func (r *RecordReader) Str() string { return string(r.bytes()) }
+func (r *RecordReader) Str() string { return string(r.Bytes()) }
 
 // Bool reads a value written by AppendBool.
 func (r *RecordReader) Bool() bool {
@@ -390,7 +403,7 @@ func (r *RecordReader) Bool() bool {
 // Time reads a value written by AppendTime.
 func (r *RecordReader) Time() time.Time {
 	var t time.Time
-	if err := t.UnmarshalBinary(r.bytes()); err != nil {
+	if err := t.UnmarshalBinary(r.Bytes()); err != nil {
 		r.fail(err)
 		return time.Time{}
 	}
@@ -451,7 +464,7 @@ func (r *RecordReader) data() any {
 	case tagTrue:
 		return true
 	case tagBytes:
-		if b := r.bytes(); len(b) > 0 {
+		if b := r.Bytes(); len(b) > 0 {
 			return bytes.Clone(b)
 		}
 		return []byte(nil)
@@ -477,7 +490,7 @@ func (r *RecordReader) data() any {
 		return r.Time()
 	case tagGob:
 		var box gobBox
-		if err := gobDecode(r.bytes(), &box); err != nil {
+		if err := gobDecode(r.Bytes(), &box); err != nil {
 			r.fail(err)
 			return nil
 		}
