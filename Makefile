@@ -54,8 +54,9 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-# One iteration per benchmark: exercises every scenario end to end
-# without turning CI into a measurement run.
+# One iteration of each per-package micro-benchmark (orb, store,
+# timers, parser, record codecs, the ephemeral engine): a smoke that they
+# still run, not a measurement. The performance gate is bench/.
 bench:
 	$(GO) test -run=XXX -bench=. -benchtime=1x ./...
 
@@ -117,15 +118,19 @@ sim:
 	$(GO) run ./cmd/wfsim run scenarios/*.scn
 	$(GO) test ./internal/sim
 
-# Native fuzzing of the durable record codec and the WAL record
-# reader, 10 s per target (go test fuzzes one target per run). Plain `go test` already replays the
-# checked-in corpora under testdata/fuzz; this searches for new inputs.
+# Native fuzzing of the durable record codec, the WAL record reader and
+# the script front end, 10 s per target (go test fuzzes one target per
+# run). Plain `go test` already replays the checked-in corpora under
+# testdata/fuzz; this searches for new inputs. The parser's seeds are
+# whole paper scripts, so its target caps the minimisation of each new
+# input (-fuzzminimizetime), which would otherwise take the 10 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeRunState$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeMeta$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeDelay$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeSchedule$$' -fuzztime 10s ./internal/execsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/script/printer
 
 # Refresh the checked-in golden traces after an intended behavior
 # change; the resulting diff is the review artifact.

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,12 +36,15 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/execsvc"
-	"repro/internal/experiments"
 	"repro/internal/orb"
+	"repro/internal/persist"
+	"repro/internal/registry"
 	"repro/internal/repository"
 	"repro/internal/script/sema"
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/taskexec"
+	"repro/internal/txn"
 	"repro/internal/workload"
 )
 
@@ -78,12 +82,16 @@ func main() {
 // lease holder. Coordinators may die mid-run (the e2e gauntlet SIGKILLs
 // one); completion of every single instance is the success criterion.
 func runSharded(naming, code string, partitions, workers, total, chain int) error {
-	nc := orb.NewNamingClient(orb.Dial(naming, orb.ClientConfig{}))
+	namingConn := orb.Dial(naming, orb.ClientConfig{})
+	defer namingConn.Close()
+	nc := orb.NewNamingClient(namingConn)
 	repoAddr, err := nc.Resolve(repository.ObjectName)
 	if err != nil {
 		return fmt.Errorf("resolve repository through naming: %w", err)
 	}
-	repoC := repository.NewClient(orb.Dial(repoAddr, orb.ClientConfig{}))
+	repoConn := orb.Dial(repoAddr, orb.ClientConfig{})
+	defer repoConn.Close()
+	repoC := repository.NewClient(repoConn)
 	const schemaName = "wfload-shard"
 	if _, err := repoC.Put(schemaName, workload.ChainCode(chain, code, "")); err != nil {
 		return fmt.Errorf("deploy %s: %w", schemaName, err)
@@ -112,7 +120,9 @@ func runSharded(naming, code string, partitions, workers, total, chain int) erro
 // in-process ephemeral engine whose located stages dispatch through a
 // pool invoker.
 func runPool(naming, location, code string, workers, total, chain int, balance string, gate int) error {
-	nc := orb.NewNamingClient(orb.Dial(naming, orb.ClientConfig{}))
+	namingConn := orb.Dial(naming, orb.ClientConfig{})
+	defer namingConn.Close()
+	nc := orb.NewNamingClient(namingConn)
 	members, err := nc.ResolveAll(location)
 	if err != nil {
 		return fmt.Errorf("resolve pool %q: %w", location, err)
@@ -130,21 +140,33 @@ func runPool(naming, location, code string, workers, total, chain int, balance s
 	defer inv.Close()
 
 	var lat latencyRecorder
-	env := experiments.NewEnv(nil, engine.Config{
+	st := store.NewMemStore()
+	eng := engine.New(persist.NewRegistry(st, txn.NewManager(st), nil), registry.New(), engine.Config{
 		Ephemeral:         true,
 		RemoteInvoker:     lat.wrap(inv.Invoke),
 		MaxRemoteInflight: gate,
 	})
-	defer env.Close()
+	defer eng.Close()
 	schema := sema.MustCompileSource("wfload", []byte(workload.ChainCode(chain, code, location)))
 
+	var seq atomic.Int64
 	completed, elapsed, err := closedLoop(workers, total, func() error {
-		res, _, err := env.Run(schema, "main", workload.Seed())
+		inst, err := eng.Instantiate(fmt.Sprintf("wfload-%d", seq.Add(1)), schema, "")
 		if err != nil {
 			return err
 		}
+		defer inst.Stop()
+		if err := inst.Start("main", workload.Seed()); err != nil {
+			return err
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		res, err := inst.Wait(ctx)
+		if err != nil {
+			return fmt.Errorf("instance %s: %w", inst.ID(), err)
+		}
 		if res.Output != "done" {
-			return fmt.Errorf("instance outcome %q", res.Output)
+			return fmt.Errorf("instance %s outcome %q", inst.ID(), res.Output)
 		}
 		return nil
 	})

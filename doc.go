@@ -10,21 +10,21 @@
 // See README.md for the build/run tour of the commands and examples, the
 // package layout, and the scheduler architecture; docs/ARCHITECTURE.md
 // is the layer map with file pointers and the end-to-end event-flow
-// diagram. The benchmarks in bench_test.go regenerate every figure's
-// scenario, and `go run ./cmd/wfbench` prints the verified measurement
-// table. The performance benchmark is the separate module under bench/
-// (workloads, metrics and bounds in BENCHMARK.json).
+// diagram. The paper's figures and experiments are reproduced by tests
+// and sim scenarios; docs/REPRODUCTION.md maps each one to the test
+// that checks it. The performance benchmark is the separate module
+// under bench/ (workloads, metrics and bounds in BENCHMARK.json).
 //
 // # Scheduler
 //
 // The execution engine propagates state transitions through a
 // dependency-indexed dirty-set scheduler: a reverse-dependency index
-// (producer task -> consumer tasks) is computed per instance, events
-// enqueue only the affected consumers onto a worklist, and the worklist
-// is drained in schema-DFS declaration order so input-set and
-// alternative-source selection stay deterministic — bit-identical to the
-// legacy full-rescan strategy retained behind engine.Config.FullRescan
-// as the ablation baseline and differential-test oracle. See
+// (producer task -> consumer tasks) is computed once per compiled
+// schema, events enqueue only the affected consumers onto a worklist,
+// and the worklist is drained in schema-DFS declaration order so
+// input-set and alternative-source selection stay deterministic —
+// bit-identical to a full rescan of every run, which the engine's
+// differential tests keep as their oracle. See
 // internal/engine/depindex.go and the "Scheduler architecture" section
 // of README.md.
 //

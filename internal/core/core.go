@@ -326,6 +326,17 @@ func (t *Task) Code() string { return t.Implementation["code"] }
 // abort outcome).
 func (t *Task) Atomic() bool { return t.Class.Atomic() }
 
+// CheckImplementationKey rejects an implementation property t may not
+// carry: an atomic task cannot take a "location", because a remote
+// executor runs the activation with no transaction, so its abort outcome
+// could not mean "no effect".
+func (t *Task) CheckImplementationKey(key string) error {
+	if key == "location" && t.Atomic() {
+		return fmt.Errorf("task %s: taskclass %s is atomic (declares an abort outcome) and cannot take a \"location\": a remote activation runs with no transaction", t.Name, t.Class.Name)
+	}
+	return nil
+}
+
 // Walk visits t and all transitively contained constituents depth-first
 // in declaration order.
 func (t *Task) Walk(f func(*Task)) {

@@ -90,7 +90,8 @@ func fixtureEngine(t *testing.T, st store.Store, clock *timers.FakeClock) (*engi
 	}
 	impls.Bind("echo", counted("d"))
 	impls.Bind("join", counted("a"))
-	eng := engine.New(preg, impls, engine.Config{Clock: clock, VerifyScheduler: true})
+	eng := engine.New(preg, impls, engine.Config{Clock: clock})
+	engine.VerifyScheduler(eng)
 	t.Cleanup(eng.Close)
 	ids, err := eng.RecoverMatching(sema.CompileSource, nil)
 	sort.Strings(ids)

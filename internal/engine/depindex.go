@@ -1,11 +1,5 @@
 package engine
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
-
 // This file implements the dependency-indexed dirty-set scheduler. The
 // instance's evaluation plan (core.Plan, built once per schema root and
 // shared by every instance of the schema; rebuilt on the clone a
@@ -15,10 +9,10 @@ import (
 // referencing it. At run time, every observable state transition of a
 // run enqueues only its indexed consumers onto a dirty worklist, and
 // evaluate drains the worklist in schema-DFS declaration order — so one
-// completion event costs O(consumers) instead of the legacy full
-// rescan's O(tasks), while input-set and alternative selection stay
-// bit-identical to the full-rescan baseline (Config.FullRescan, kept as
-// the ablation and the oracle for the differential tests).
+// completion event costs O(consumers) instead of a full rescan's
+// O(tasks), while input-set and alternative selection stay
+// bit-identical to that rescan (kept in oracle_test.go as the reference
+// of the differential tests).
 
 // usePlan installs the evaluation plan of the instance's root tree and
 // empties the worklist, whose positions index the previous plan. Called
@@ -79,7 +73,7 @@ func (i *Instance) noteOutput(path string) {
 }
 
 // drainDirty processes the dirty worklist in rounds that mirror the
-// legacy full-rescan passes: within one round, paths are visited in
+// passes of a full rescan: within one round, paths are visited in
 // ascending schema-DFS order, and paths dirtied at or before the current
 // scan position wait for the next round (exactly the set a full pass
 // would only reach on its next iteration). This keeps input-set and
@@ -162,44 +156,5 @@ func (i *Instance) evalRun(path string) {
 		i.trySatisfy(r)
 	case r.st.State == RunExecuting && r.task.Compound:
 		i.tryCompoundOutputs(r)
-	}
-}
-
-// verifyFixedPoint is the differential oracle enabled by
-// Config.VerifyScheduler: after a dirty-set drain it runs a read-only
-// full-rescan satisfiability probe and panics if the probe finds progress
-// the worklist missed — i.e. the two schedulers would not have reached
-// the same fixed point.
-func (i *Instance) verifyFixedPoint() {
-	for _, path := range i.plan.Paths {
-		r, ok := i.runs[path]
-		if !ok || !i.active(r) {
-			continue
-		}
-		switch {
-		case r.st.State == RunWaiting:
-			if r.task == i.root && !i.meta.Started {
-				// A not-yet-started root waits for the client's Start,
-				// not for dependency satisfaction (see trySatisfy).
-				continue
-			}
-			if len(r.task.InputSets) == 0 {
-				panic(fmt.Sprintf("scheduler divergence: %s has no input sets and should have started", path))
-			}
-			for _, set := range r.task.InputSets {
-				if _, ok := i.satisfied(r, set.Objects, set.Notifications); ok {
-					panic(fmt.Sprintf("scheduler divergence: %s input set %q satisfiable at quiescence", path, set.Name))
-				}
-			}
-		case r.st.State == RunExecuting && r.task.Compound:
-			for _, ob := range r.task.Outputs {
-				if ob.Output.Kind == core.Mark && r.st.MarksEmitted[ob.Output.Name] {
-					continue
-				}
-				if _, ok := i.satisfied(r, ob.Objects, ob.Notifications); ok {
-					panic(fmt.Sprintf("scheduler divergence: %s output %q satisfiable at quiescence", path, ob.Output.Name))
-				}
-			}
-		}
 	}
 }

@@ -70,24 +70,14 @@ type Config struct {
 	// "location" implementation property on a remote task executor
 	// (Section 4.3 lists "location" and "agent" among the implementation
 	// keywords). Remote failures are system-level failures: retried, then
-	// mapped to an abort outcome. See internal/taskexec.
+	// the task fails. A located task is never atomic (sema rejects it),
+	// so there is no abort outcome to map to. See internal/taskexec.
 	RemoteInvoker RemoteInvoker
 	// MaxRemoteInflight bounds how many remote activations of one
 	// instance may be dispatched concurrently: excess activations wait
 	// for a slot instead of piling unbounded concurrent calls onto the
 	// executor pool (backpressure for wide fan-outs). 0 means unbounded.
 	MaxRemoteInflight int
-	// FullRescan selects the legacy evaluation strategy that rescans
-	// every run in the instance to a fixed point after each event,
-	// instead of the dependency-indexed dirty-set scheduler. It exists as
-	// an ablation baseline and as the oracle of the scheduler's
-	// differential tests; see the Scheduler benchmarks.
-	FullRescan bool
-	// VerifyScheduler runs a read-only full-rescan satisfiability probe
-	// after every dirty-set drain and panics if the probe finds progress
-	// the worklist missed. Debug assertion for tests; ignored when
-	// FullRescan is set.
-	VerifyScheduler bool
 	// Probe, when set, receives park/wake notifications from every
 	// instance controller: Park fires just before a controller blocks
 	// with no queued input, Wake as soon as it unblocks. The
@@ -168,6 +158,11 @@ type Engine struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	met    engMetrics
+
+	// evalHook, when set, replaces the dirty-set drain of evaluate. Only
+	// the package's tests set it, to the full-rescan reference scheduler
+	// or to a drain checked against it (see export_test.go).
+	evalHook func(*Instance)
 
 	mu        sync.Mutex
 	instances map[string]*Instance

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,15 +30,15 @@ type rig struct {
 
 func newRig(t *testing.T, cfg engine.Config) *rig {
 	t.Helper()
-	// Every engine test doubles as a differential scheduler test: after
-	// each dirty-set drain the full-rescan oracle asserts the same fixed
-	// point was reached.
-	cfg.VerifyScheduler = true
 	st := store.NewMemStore()
 	mgr := txn.NewManager(st)
 	preg := persist.NewRegistry(st, mgr, nil)
 	impls := registry.New()
 	eng := engine.New(preg, impls, cfg)
+	// Every engine test doubles as a differential scheduler test: after
+	// each dirty-set drain the full-rescan oracle asserts the same fixed
+	// point was reached.
+	engine.VerifyScheduler(eng)
 	t.Cleanup(eng.Close)
 	return &rig{st: st, mgr: mgr, preg: preg, impls: impls, eng: eng}
 }
@@ -865,6 +866,93 @@ func TestReconfigureValidation(t *testing.T) {
 	}
 	if err := inst.Reconfigure(&engine.AddTaskOp{ScopePath: "diamond", Fragment: t5Fragment}); err == nil {
 		t.Fatal("duplicate add must fail")
+	}
+}
+
+// TestReconfigureRemoveAddedTask adds a task to a running instance and
+// removes it again, three times over: each removal takes the added task
+// (and its run) out of the schema, and the live workflow still finishes.
+func TestReconfigureRemoveAddedTask(t *testing.T) {
+	r := newRig(t, engine.Config{})
+	bindDiamond(r.impls)
+	gate := make(chan struct{})
+	r.impls.Bind("join", func(ctx registry.Context) (registry.Result, error) {
+		<-gate
+		l := ctx.Inputs()["left"].Data.(string)
+		return registry.Result{Output: "done", Objects: registry.Objects{"d": val("Data", l+"+"+l)}}, nil
+	})
+	inst := r.run(t, scripts.Fig1Diamond, "reconf-rm", "main", registry.Objects{"seed": val("Data", "s")})
+	for k := 1; k <= 3; k++ {
+		name := fmt.Sprintf("extra%d", k)
+		frag := strings.ReplaceAll(t5Fragment, "task t5 ", "task "+name+" ")
+		if err := inst.Reconfigure(&engine.AddTaskOp{ScopePath: "diamond", Fragment: frag}); err != nil {
+			t.Fatalf("add %s: %v", name, err)
+		}
+		if err := inst.Reconfigure(&engine.RemoveTaskOp{ScopePath: "diamond", Name: name}); err != nil {
+			t.Fatalf("remove %s: %v", name, err)
+		}
+		if inst.Schema().Lookup("diamond/"+name) != nil {
+			t.Fatalf("%s still in the schema after its removal", name)
+		}
+	}
+	close(gate)
+	if res := waitResult(t, inst); res.Output != "done" {
+		t.Fatalf("outcome = %q, want done", res.Output)
+	}
+}
+
+// processOrderAt starts a process-order instance whose payment
+// authorisation waits on gate, so the instance stays live while a test
+// reconfigures it.
+func processOrderAt(t *testing.T, r *rig, id string, gate chan struct{}) *engine.Instance {
+	t.Helper()
+	bindProcessOrder(r.impls, true, true, true)
+	r.impls.Bind("refPaymentAuthorisation", func(ctx registry.Context) (registry.Result, error) {
+		<-gate
+		return registry.Result{Output: "authorised", Objects: registry.Objects{"paymentInfo": val("PaymentInfo", "p")}}, nil
+	})
+	return r.run(t, scripts.ProcessOrder, id, "main", registry.Objects{"order": val("Order", "o")})
+}
+
+// TestAddTaskRejectsLocatedAtomicTask: a task added by reconfiguration
+// cannot put an atomic class on a remote executor, where it would run
+// with no transaction.
+func TestAddTaskRejectsLocatedAtomicTask(t *testing.T) {
+	r := newRig(t, engine.Config{})
+	gate := make(chan struct{})
+	defer close(gate)
+	inst := processOrderAt(t, r, "add-located", gate)
+	err := inst.Reconfigure(&engine.AddTaskOp{ScopePath: "processOrderApplication", Fragment: `
+task remoteDispatch of taskclass Dispatch
+{
+    implementation { "code" is "refDispatch"; "location" is "workers" };
+    inputs { input main { inputobject stockInfo from { stockInfo of task checkStock if output stockAvailable } } }
+};`})
+	if err == nil || !strings.Contains(err.Error(), "task remoteDispatch: taskclass Dispatch is atomic") {
+		t.Fatalf("err = %v, want the atomic-location diagnostic", err)
+	}
+	if inst.Schema().Lookup("processOrderApplication/remoteDispatch") != nil {
+		t.Error("rejected task reached the schema")
+	}
+}
+
+// TestSetImplementationRejectsLocationOnAtomicTask: rebinding an atomic
+// task's "location" is rejected; rebinding its "code" is not.
+func TestSetImplementationRejectsLocationOnAtomicTask(t *testing.T) {
+	r := newRig(t, engine.Config{})
+	gate := make(chan struct{})
+	defer close(gate)
+	inst := processOrderAt(t, r, "set-located", gate)
+	const path = "processOrderApplication/dispatch"
+	err := inst.Reconfigure(&engine.SetImplementationOp{TaskPath: path, Key: "location", Value: "workers"})
+	if err == nil || !strings.Contains(err.Error(), "task dispatch: taskclass Dispatch is atomic") {
+		t.Fatalf("err = %v, want the atomic-location diagnostic", err)
+	}
+	if _, ok := inst.Schema().Lookup(path).Implementation["location"]; ok {
+		t.Error("rejected location reached the schema")
+	}
+	if err := inst.Reconfigure(&engine.SetImplementationOp{TaskPath: path, Key: "code", Value: "refDispatch"}); err != nil {
+		t.Fatalf("rebinding code: %v", err)
 	}
 }
 

@@ -163,18 +163,15 @@ func (i *Instance) resumeExecuting() {
 // dirty worklist holds exactly the runs whose dependencies may have
 // gained availability (see depindex.go); draining it in schema-DFS
 // declaration order keeps input-set and alternative selection
-// deterministic and identical to the full-rescan baseline.
+// deterministic and identical to a full rescan of every run.
 func (i *Instance) evaluate() {
 	if n := len(i.dirty); n > 0 {
 		i.eng.met.drainRuns.Observe(float64(n))
 	}
-	if i.eng.cfg.FullRescan {
-		i.evaluateFullRescan()
+	if hook := i.eng.evalHook; hook != nil {
+		hook(i)
 	} else {
 		i.drainDirty()
-		if i.eng.cfg.VerifyScheduler {
-			i.verifyFixedPoint()
-		}
 	}
 	i.checkQuiescence()
 	// All run-state transitions of this pass become durable together. A
@@ -182,41 +179,6 @@ func (i *Instance) evaluate() {
 	// in-memory state stays authoritative for the live controller and
 	// recovery replays from the last durable prefix.
 	_ = i.flushRuns()
-}
-
-// evaluateFullRescan is the legacy strategy: satisfaction passes over
-// every run until a fixed point, O(tasks) per event. Kept as the
-// ablation baseline and the oracle the dirty-set scheduler is verified
-// against.
-func (i *Instance) evaluateFullRescan() {
-	// State transitions feed the worklist even when this strategy ignores
-	// it; drop the entries so the map stays bounded.
-	clear(i.dirty)
-	i.dirtyHeap = i.dirtyHeap[:0]
-	progress := true
-	for progress {
-		progress = false
-		for _, path := range i.plan.Paths {
-			r, ok := i.runs[path]
-			if !ok {
-				continue
-			}
-			i.scans.Add(1)
-			if !i.active(r) {
-				continue
-			}
-			switch {
-			case r.st.State == RunWaiting:
-				if i.trySatisfy(r) {
-					progress = true
-				}
-			case r.st.State == RunExecuting && r.task.Compound:
-				if i.tryCompoundOutputs(r) {
-					progress = true
-				}
-			}
-		}
-	}
 }
 
 // active reports whether a run's enclosing compounds are all executing

@@ -54,8 +54,8 @@ func runChainCounting(t *testing.T, n int, cfg engine.Config) (batches, decision
 	preg := persist.NewRegistry(cs, txn.NewManager(cs), nil)
 	impls := registry.New()
 	workload.Bind(impls)
-	cfg.VerifyScheduler = true
 	eng := engine.New(preg, impls, cfg)
+	engine.VerifyScheduler(eng)
 	t.Cleanup(eng.Close)
 
 	schema := workload.MustCompile("pc", workload.Chain(n))
@@ -115,7 +115,8 @@ func TestDurableStateMatchesAcrossStores(t *testing.T) {
 		preg := persist.NewRegistry(st, txn.NewManager(st), nil)
 		impls := registry.New()
 		workload.Bind(impls)
-		eng := engine.New(preg, impls, engine.Config{VerifyScheduler: true})
+		eng := engine.New(preg, impls, engine.Config{})
+		engine.VerifyScheduler(eng)
 		defer eng.Close()
 		schema := workload.MustCompile("diffp", workload.Diamond(4))
 		inst, err := eng.Instantiate("diffp", schema, "")
@@ -171,7 +172,8 @@ func newWalRig(t *testing.T, dir string) *walRig {
 	t.Cleanup(func() { _ = ws.Close() })
 	preg := persist.NewRegistry(ws, txn.NewManager(ws), nil)
 	impls := registry.New()
-	eng := engine.New(preg, impls, engine.Config{VerifyScheduler: true})
+	eng := engine.New(preg, impls, engine.Config{})
+	engine.VerifyScheduler(eng)
 	t.Cleanup(eng.Close)
 	return &walRig{ws: ws, preg: preg, impls: impls, eng: eng}
 }

@@ -23,7 +23,8 @@ func rigOver(t *testing.T, old *rig) *rig {
 	mgr := txn.NewManager(old.st)
 	preg := persist.NewRegistry(old.st, mgr, nil)
 	impls := registry.New()
-	eng := engine.New(preg, impls, engine.Config{VerifyScheduler: true})
+	eng := engine.New(preg, impls, engine.Config{})
+	engine.VerifyScheduler(eng)
 	t.Cleanup(eng.Close)
 	return &rig{st: old.st, mgr: mgr, preg: preg, impls: impls, eng: eng}
 }
@@ -163,9 +164,11 @@ func TestPropertyDirtySetMatchesFullRescan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test")
 	}
-	execute := func(id, src string, cfg engine.Config) (engine.Result, map[string]int, bool) {
-		cfg.Ephemeral = true
-		r := newRig(t, cfg)
+	execute := func(id, src string, fullRescan bool) (engine.Result, map[string]int, bool) {
+		r := newRig(t, engine.Config{Ephemeral: true})
+		if fullRescan {
+			engine.UseFullRescan(r.eng)
+		}
 		workload.Bind(r.impls)
 		schema := workload.MustCompile("diff", src)
 		inst, err := r.eng.Instantiate(id, schema, "")
@@ -198,11 +201,11 @@ func TestPropertyDirtySetMatchesFullRescan(t *testing.T) {
 		alts := int(rawAlts % 3)
 		src := workload.RandomDAG(n, alts, seed)
 		id := fmt.Sprintf("diff-%d-%d-%d", n, alts, seed)
-		dirtyRes, dirtyDone, ok := execute(id+"-dirty", src, engine.Config{})
+		dirtyRes, dirtyDone, ok := execute(id+"-dirty", src, false)
 		if !ok {
 			return false
 		}
-		fullRes, fullDone, ok := execute(id+"-full", src, engine.Config{FullRescan: true})
+		fullRes, fullDone, ok := execute(id+"-full", src, true)
 		if !ok {
 			return false
 		}

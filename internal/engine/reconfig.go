@@ -308,6 +308,9 @@ func (op *SetImplementationOp) Apply(schema *core.Schema, _ *core.Task) error {
 	if t == nil {
 		return fmt.Errorf("set implementation: no task %q", op.TaskPath)
 	}
+	if err := t.CheckImplementationKey(op.Key); err != nil {
+		return fmt.Errorf("set implementation: %w", err)
+	}
 	if t.Implementation == nil {
 		t.Implementation = make(map[string]string, 1)
 	}

@@ -179,7 +179,8 @@ func TestRecoverMatchingListsOnce(t *testing.T) {
 		if _, err := preg.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		eng := engine.New(preg, registry.New(), engine.Config{Clock: clock, VerifyScheduler: true})
+		eng := engine.New(preg, registry.New(), engine.Config{Clock: clock})
+		engine.VerifyScheduler(eng)
 		t.Cleanup(eng.Close)
 		return eng
 	}

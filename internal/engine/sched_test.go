@@ -13,7 +13,7 @@ import (
 )
 
 // The tests in this file pin the dependency-indexed dirty-set scheduler
-// to the legacy full-rescan strategy (Config.FullRescan): identical
+// to the full-rescan reference strategy (engine.UseFullRescan): identical
 // run-state trajectories on deterministic workloads, and sub-quadratic
 // evaluator work asserted through the scan counter.
 
@@ -28,11 +28,14 @@ type schedOutcome struct {
 	scans  int64
 }
 
-// runSched executes one generated workload to completion under cfg.
-func runSched(t *testing.T, name, src string, cfg engine.Config) schedOutcome {
+// runSched executes one generated workload to completion under the
+// dirty-set scheduler, or under the full-rescan reference if fullRescan.
+func runSched(t *testing.T, name, src string, fullRescan bool) schedOutcome {
 	t.Helper()
-	cfg.Ephemeral = true
-	r := newRig(t, cfg)
+	r := newRig(t, engine.Config{Ephemeral: true})
+	if fullRescan {
+		engine.UseFullRescan(r.eng)
+	}
 	workload.Bind(r.impls)
 	schema := workload.MustCompile(name, src)
 	inst, err := r.eng.Instantiate(name, schema, "")
@@ -98,7 +101,7 @@ func diffOutcomes(t *testing.T, dirty, full schedOutcome) {
 // TestDifferentialDirtySetVsFullRescan runs deterministic workloads under
 // both schedulers (the dirty-set instance additionally carries the
 // in-situ fixed-point oracle via newRig) and requires identical
-// trajectories.
+// trajectories, each ending in the workload's single outcome.
 func TestDifferentialDirtySetVsFullRescan(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"chain", workload.Chain(12)},
@@ -108,9 +111,12 @@ func TestDifferentialDirtySetVsFullRescan(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dirty := runSched(t, tc.name+"-dirty", tc.src, engine.Config{})
-			full := runSched(t, tc.name+"-full", tc.src, engine.Config{FullRescan: true})
+			dirty := runSched(t, tc.name+"-dirty", tc.src, false)
+			full := runSched(t, tc.name+"-full", tc.src, true)
 			diffOutcomes(t, dirty, full)
+			if dirty.result.Output != "done" {
+				t.Fatalf("outcome %q, want done", dirty.result.Output)
+			}
 		})
 	}
 }
@@ -162,9 +168,11 @@ compoundtask app of taskclass App
 // repeats and automatic retries — the transitions beyond plain dataflow
 // that the dirty worklist must also propagate.
 func TestDifferentialRepeatMarkRetry(t *testing.T) {
-	run := func(cfg engine.Config) schedOutcome {
-		cfg.MaxRetries = 1
-		r := newRig(t, cfg)
+	run := func(fullRescan bool) schedOutcome {
+		r := newRig(t, engine.Config{MaxRetries: 1})
+		if fullRescan {
+			engine.UseFullRescan(r.eng)
+		}
 		r.impls.Bind("cycler", func(ctx registry.Context) (registry.Result, error) {
 			n := ctx.Inputs()["seed"].Data.(int)
 			if n == 1 && ctx.Attempt() == 0 {
@@ -178,7 +186,7 @@ func TestDifferentialRepeatMarkRetry(t *testing.T) {
 			}
 			return registry.Result{Output: "finished", Objects: registry.Objects{"out": {Class: "D", Data: n}}}, nil
 		})
-		inst := r.run(t, cyclerScript, fmt.Sprintf("cycler-rescan=%v", cfg.FullRescan), "main", registry.Objects{"seed": val("D", 0)})
+		inst := r.run(t, cyclerScript, fmt.Sprintf("cycler-rescan=%v", fullRescan), "main", registry.Objects{"seed": val("D", 0)})
 		res := waitResult(t, inst)
 		// Wait returns when the terminal status is set, which the
 		// controller does before it emits instance-completed. Snapshot
@@ -194,7 +202,7 @@ func TestDifferentialRepeatMarkRetry(t *testing.T) {
 		}
 		return schedOutcome{result: res, traces: traces, rows: rows}
 	}
-	diffOutcomes(t, run(engine.Config{}), run(engine.Config{FullRescan: true}))
+	diffOutcomes(t, run(false), run(true))
 }
 
 // TestDirtySetScansLinear asserts the asymptotic win of the index on a
@@ -203,8 +211,8 @@ func TestDifferentialRepeatMarkRetry(t *testing.T) {
 func TestDirtySetScansLinear(t *testing.T) {
 	const n = 48
 	src := workload.Chain(n)
-	dirty := runSched(t, "scans-dirty", src, engine.Config{})
-	full := runSched(t, "scans-full", src, engine.Config{FullRescan: true})
+	dirty := runSched(t, "scans-dirty", src, false)
+	full := runSched(t, "scans-full", src, true)
 	if dirty.scans > 8*n {
 		t.Errorf("dirty-set scheduler examined %d runs on a %d-task chain, want <= %d (linear)", dirty.scans, n, 8*n)
 	}

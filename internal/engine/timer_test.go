@@ -116,7 +116,8 @@ compoundtask app of taskclass App
 `
 	// Phase 1: start the delay, then crash 4s in.
 	preg1 := persist.NewRegistry(st, txn.NewManager(st), nil)
-	eng1 := engine.New(preg1, registry.New(), engine.Config{Clock: clock, VerifyScheduler: true})
+	eng1 := engine.New(preg1, registry.New(), engine.Config{Clock: clock})
+	engine.VerifyScheduler(eng1)
 	schema := sema.MustCompileSource("delay.wf", []byte(src))
 	inst1, err := eng1.Instantiate("crashdelay", schema, "")
 	if err != nil {
@@ -134,7 +135,8 @@ compoundtask app of taskclass App
 	if _, err := preg2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	eng2 := engine.New(preg2, registry.New(), engine.Config{Clock: clock, VerifyScheduler: true})
+	eng2 := engine.New(preg2, registry.New(), engine.Config{Clock: clock})
+	engine.VerifyScheduler(eng2)
 	t.Cleanup(eng2.Close)
 	inst2, err := eng2.Recover("crashdelay", sema.CompileSource)
 	if err != nil {
@@ -358,7 +360,8 @@ func TestDelayCrashRecoveryProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		st := store.NewMemStore()
 		preg1 := persist.NewRegistry(st, txn.NewManager(st), nil)
-		eng1 := engine.New(preg1, registry.New(), engine.Config{VerifyScheduler: true})
+		eng1 := engine.New(preg1, registry.New(), engine.Config{})
+		engine.VerifyScheduler(eng1)
 		schema := sema.MustCompileSource("chain.wf", []byte(src))
 		inst1, err := eng1.Instantiate("prop", schema, "")
 		if err != nil {
@@ -376,7 +379,8 @@ func TestDelayCrashRecoveryProperty(t *testing.T) {
 		if _, err := preg2.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		eng2 := engine.New(preg2, registry.New(), engine.Config{VerifyScheduler: true})
+		eng2 := engine.New(preg2, registry.New(), engine.Config{})
+		engine.VerifyScheduler(eng2)
 		inst2, err := eng2.Recover("prop", sema.CompileSource)
 		if err != nil {
 			eng2.Close()

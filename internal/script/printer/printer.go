@@ -112,7 +112,7 @@ func (p *printer) task(d *ast.TaskDecl, top bool) {
 	if len(d.Implementation) > 0 {
 		pairs := make([]string, len(d.Implementation))
 		for i, kv := range d.Implementation {
-			pairs[i] = fmt.Sprintf("%q is %q", kv.Key, kv.Value)
+			pairs[i] = quote(kv.Key) + " is " + quote(kv.Value)
 		}
 		p.line("implementation { " + strings.Join(pairs, "; ") + " };")
 	}
@@ -210,7 +210,7 @@ func (p *printer) template(d *ast.TaskTemplateDecl) {
 	if len(body.Implementation) > 0 {
 		pairs := make([]string, len(body.Implementation))
 		for i, kv := range body.Implementation {
-			pairs[i] = fmt.Sprintf("%q is %q", kv.Key, kv.Value)
+			pairs[i] = quote(kv.Key) + " is " + quote(kv.Value)
 		}
 		p.line("implementation { " + strings.Join(pairs, "; ") + " };")
 	}
@@ -289,5 +289,28 @@ func DOT(s *core.Schema) string {
 		fmt.Fprintf(&b, "    %s -> %s [%s];\n", id(e.From), id(e.To), attrs)
 	}
 	b.WriteString("}\n")
+	return b.String()
+}
+
+// quote renders s as a plain-quoted string literal with exactly the
+// escapes the lexer reads back (\" \\ \n \t), writing every other rune
+// verbatim. Go's %q would emit \x and \u escapes the lexer rejects.
+func quote(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for _, r := range s {
+		switch r {
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteRune(r)
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	b.WriteByte('"')
 	return b.String()
 }

@@ -323,6 +323,9 @@ func (c *checker) compileScopeSeeded(parent *core.Task, decls []*ast.TaskDecl, s
 				c.errorf(p.Pos(), "task %s: duplicate implementation key %q", d.Name, p.Key)
 			}
 			t.Implementation[p.Key] = p.Value
+			if err := t.CheckImplementationKey(p.Key); err != nil {
+				c.errorf(p.Pos(), "%v", err)
+			}
 		}
 		if !d.Compound && len(d.Constituents) > 0 {
 			c.errorf(d.Pos(), "task %s: plain task cannot have constituents", d.Name)

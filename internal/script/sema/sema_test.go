@@ -204,6 +204,30 @@ taskclass T
 			want: "cannot declare mark",
 		},
 		{
+			name: "atomic with location",
+			src: `class A;
+taskclass T
+{
+    inputs { input main { a of class A } };
+    outputs { abort outcome ab { }; outcome ok { } }
+};
+taskclass W
+{
+    inputs { input main { a of class A } };
+    outputs { outcome ok { } }
+};
+compoundtask w of taskclass W
+{
+    task remote of taskclass T
+    {
+        implementation { "code" is "c"; "location" is "workers" };
+        inputs { input main { inputobject a from { a of task w if input main } } }
+    };
+    outputs { outcome ok { notification from { task remote if output ok } } }
+};`,
+			want: "task remote: taskclass T is atomic",
+		},
+		{
 			name: "unknown taskclass",
 			src:  `task t of taskclass Nope { inputs { } };`,
 			want: "undeclared taskclass Nope",

@@ -8,8 +8,9 @@
 // registry under the well-known "task-executor" object and binds its
 // location name in the naming service; the engine-side Invoker resolves
 // locations through naming and dispatches activations. Remote failures
-// surface as system-level failures, so the engine's automatic retry and
-// abort mapping apply unchanged.
+// surface as system-level failures, so the engine's automatic retry
+// applies unchanged. A remote activation runs with no transaction, so a
+// located task may not be atomic (sema rejects an abort outcome there).
 package taskexec
 
 import (

@@ -2,6 +2,7 @@ package taskexec_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -17,24 +18,22 @@ import (
 )
 
 // remoteScript places one task at a named location; the engine must
-// dispatch its activation to the remote executor.
+// dispatch its activation to the remote executor. The located class
+// declares no abort outcome: a remote activation runs with no
+// transaction, so it cannot be atomic.
 const remoteScript = `
 class D;
 
 taskclass Crunch
 {
     inputs { input main { in of class D } };
-    outputs
-    {
-        outcome done { out of class D };
-        abort outcome crunchFailed { }
-    }
+    outputs { outcome done { out of class D } }
 };
 
 taskclass App
 {
     inputs { input main { in of class D } };
-    outputs { outcome done { out of class D }; outcome failed { } }
+    outputs { outcome done { out of class D } }
 };
 
 compoundtask app of taskclass App
@@ -44,11 +43,7 @@ compoundtask app of taskclass App
         implementation { "code" is "crunch"; "location" is "worker-1" };
         inputs { input main { inputobject in from { in of task app if input main } } }
     };
-    outputs
-    {
-        outcome done { outputobject out from { out of task crunch if output done } };
-        outcome failed { notification from { task crunch if output crunchFailed } }
-    }
+    outputs { outcome done { outputobject out from { out of task crunch if output done } } }
 };
 `
 
@@ -94,7 +89,9 @@ func newWorld(t *testing.T) *world {
 	return &world{eng: eng, naming: naming, executor: execSrv, invoker: invoker, remote: remoteImpls}
 }
 
-func runRemote(t *testing.T, w *world, id string) engine.Result {
+// runRemote runs one instance of remoteScript until it settles and
+// returns it with Wait's result.
+func runRemote(t *testing.T, w *world, id string) (*engine.Instance, engine.Result, error) {
 	t.Helper()
 	schema := sema.MustCompileSource("remote.wf", []byte(remoteScript))
 	inst, err := w.eng.Instantiate(id, schema, "")
@@ -107,10 +104,33 @@ func runRemote(t *testing.T, w *world, id string) engine.Result {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	res, err := inst.Wait(ctx)
-	if err != nil {
-		t.Fatalf("wait: %v (events: %v)", err, inst.Events())
+	return inst, res, err
+}
+
+// wantRemoteTaskFailed requires an instance that stalled because its
+// located task failed after the engine's one automatic retry.
+func wantRemoteTaskFailed(t *testing.T, inst *engine.Instance, err error) {
+	t.Helper()
+	if !errors.Is(err, engine.ErrStalled) {
+		t.Fatalf("wait: %v, want %v", err, engine.ErrStalled)
 	}
-	return res
+	// Stalled is set before the drain that settled the instance has
+	// emitted everything; Snapshot round-trips through the controller.
+	if _, err := inst.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	retried, failed := 0, 0
+	for _, e := range inst.Events() {
+		switch {
+		case e.Task == "app/crunch" && e.Kind == engine.EventTaskRetried:
+			retried++
+		case e.Task == "app/crunch" && e.Kind == engine.EventTaskFailed:
+			failed++
+		}
+	}
+	if retried != 1 || failed != 1 {
+		t.Fatalf("app/crunch retried %d and failed %d times, want 1 and 1 (events: %v)", retried, failed, inst.Events())
+	}
 }
 
 func TestRemoteExecution(t *testing.T) {
@@ -123,7 +143,10 @@ func TestRemoteExecution(t *testing.T) {
 			"out": {Class: "D", Data: strings.ToUpper(in)},
 		}}, nil
 	})
-	res := runRemote(t, w, "remote-1")
+	_, res, err := runRemote(t, w, "remote-1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Output != "done" || res.Objects["out"].Data.(string) != "PAYLOAD" {
 		t.Fatalf("result = %+v", res)
 	}
@@ -132,23 +155,19 @@ func TestRemoteExecution(t *testing.T) {
 	}
 }
 
-func TestRemoteUnboundCodeRetriesThenAborts(t *testing.T) {
+func TestRemoteUnboundCodeRetriesThenFails(t *testing.T) {
 	w := newWorld(t)
 	// Nothing bound remotely: system failures, retried once, then the
-	// declared abort outcome (crunchFailed) -> compound outcome failed.
-	res := runRemote(t, w, "remote-2")
-	if res.Output != "failed" {
-		t.Fatalf("outcome = %q, want failed", res.Output)
-	}
+	// task fails and the instance stalls.
+	inst, _, err := runRemote(t, w, "remote-2")
+	wantRemoteTaskFailed(t, inst, err)
 }
 
 func TestRemoteUnknownLocationFails(t *testing.T) {
 	w := newWorld(t)
 	w.naming.UnbindEntry("worker-1")
-	res := runRemote(t, w, "remote-3")
-	if res.Output != "failed" {
-		t.Fatalf("outcome = %q, want failed (unresolvable location)", res.Output)
-	}
+	inst, _, err := runRemote(t, w, "remote-3")
+	wantRemoteTaskFailed(t, inst, err)
 }
 
 func TestRemoteExecutorMovedHealedByRetry(t *testing.T) {
