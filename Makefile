@@ -121,15 +121,16 @@ sim:
 # Native fuzzing of the durable record codec, the WAL record reader and
 # the script front end, 10 s per target (go test fuzzes one target per
 # run). Plain `go test` already replays the checked-in corpora under
-# testdata/fuzz; this searches for new inputs. The parser's seeds are
-# whole paper scripts, so its target caps the minimisation of each new
-# input (-fuzzminimizetime), which would otherwise take the 10 s.
+# testdata/fuzz; this searches for new inputs. Every target caps the
+# minimisation of each new input at 200 executions (-fuzzminimizetime):
+# the default, 60 s, lets the first interesting input eat the rest of the
+# 10 s budget, so the target stops searching once it finds one.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeRunState$$' -fuzztime 10s ./internal/engine
-	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeMeta$$' -fuzztime 10s ./internal/engine
-	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeDelay$$' -fuzztime 10s ./internal/engine
-	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeSchedule$$' -fuzztime 10s ./internal/execsvc
-	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeRunState$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeMeta$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeDelay$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordDecodeSchedule$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/execsvc
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/script/printer
 
 # Refresh the checked-in golden traces after an intended behavior

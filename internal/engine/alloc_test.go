@@ -19,7 +19,9 @@ import (
 // The tests in this file guard the allocation diet of the engine's hot
 // path: one evaluation plan per schema root, task paths built once, no
 // wake-up channel without a waiter, no values map for a join that is not
-// ready — and an Ephemeral engine that writes nothing to its store.
+// ready, one goroutine per activation posting to a reused inbox, history
+// and worklist sized from the plan — and an Ephemeral engine that writes
+// nothing to its store.
 
 // ephemeralEngine returns an Ephemeral engine over a fresh MemStore with
 // the workload bindings, and the store.
@@ -55,18 +57,19 @@ func runOne(t testing.TB, eng *engine.Engine, id string, schema *core.Schema) en
 
 // allocShapes are the guarded shapes: a chain, a diamond and a fan-in.
 // ceiling is mallocs per instance: the count measured when the ceiling
-// was set (chain 382, diamond 220, fan-in 239 on linux/amd64, go1.24;
-// 426, 238 and 256 under -race) plus about 30 % for runtime and
+// was set (chain 321, diamond 185, fan-in 205 on linux/amd64, go1.24;
+// 360, 203 and 221 under -race) plus about 30 % for runtime and
 // scheduling noise. The engine before the shared evaluation plan spent
-// 684, 403 and 449, so each ceiling fails it.
+// 684, 403 and 449; the one with a watchdog goroutine and a 64-slot
+// completion channel per instance spent 382, 220 and 241.
 var allocShapes = []struct {
 	name    string
 	src     string
 	ceiling float64
 }{
-	{"chain16", workload.Chain(16), 500},
-	{"diamond4", workload.Diamond(4), 290},
-	{"fanin8", workload.FanIn(8), 310},
+	{"chain16", workload.Chain(16), 420},
+	{"diamond4", workload.Diamond(4), 240},
+	{"fanin8", workload.FanIn(8), 270},
 }
 
 // TestEphemeralInstanceAllocs runs each shape to completion on an

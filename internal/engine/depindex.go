@@ -15,12 +15,17 @@ package engine
 // of the differential tests).
 
 // usePlan installs the evaluation plan of the instance's root tree and
-// empties the worklist, whose positions index the previous plan. Called
-// at construction and when a reconfiguration swaps the schema, on the
-// goroutine owning the run map.
+// empties the worklist, whose positions index the previous plan. Each
+// plan position has at most one heap entry, so the heap is sized once
+// and never grows. Called at construction and when a reconfiguration
+// swaps the schema, on the goroutine owning the run map.
 func (i *Instance) usePlan() {
 	i.plan = i.root.Plan()
-	i.dirty = make([]bool, len(i.plan.Paths))
+	n := len(i.plan.Paths)
+	i.dirty = make([]bool, n)
+	if cap(i.dirtyHeap) < n {
+		i.dirtyHeap = make([]int, 0, n)
+	}
 	i.dirtyHeap = i.dirtyHeap[:0]
 }
 

@@ -105,9 +105,8 @@ type Config struct {
 // block on engine state.
 type Probe interface {
 	// Park reports that the controller for instance id is about to
-	// block waiting for input: no buffered completions, no queued timer
-	// fires, inflight implementation workers still executing and armed
-	// pending delay timers.
+	// block waiting for input: an empty inbox, inflight activations not
+	// yet retired and armed pending delay timers.
 	Park(id string, inflight, armed int)
 	// Wake reports that the controller resumed after a Park.
 	Wake(id string)
@@ -341,7 +340,7 @@ func (e *Engine) drop(id string) {
 	e.mu.Unlock()
 }
 
-// Close stops every instance controller and waits for their workers.
+// Close stops every instance controller.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
@@ -456,21 +455,15 @@ type Instance struct {
 	// remoteGate is the bounded-concurrency semaphore for remote
 	// dispatches (Config.MaxRemoteInflight); nil when unbounded.
 	remoteGate chan struct{}
-	evCh       chan completionMsg
-	// timerQ is the unbounded ordered queue of delay fires. The shared
-	// wheel goroutine must never block delivering into a busy instance
-	// (one slow instance would stall every other instance's timers and
-	// deadlines), so fire callbacks append under timerQMu and nudge
-	// timerSig instead of sending on a bounded channel.
-	timerQMu sync.Mutex
-	timerQ   []timerMsg
-	timerSig chan struct{}
+	// inbox carries implementation results, activation deadlines,
+	// cancellations and delay fires to the loop (see inbox.go).
+	inbox    inbox
 	markCh   chan markMsg
 	reqCh    chan func()
 	stopCh   chan struct{}
 	loopDone chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// inflight counts the activations not yet retired; loop-owned.
 	inflight int
 
 	reconfigSeq int
@@ -498,8 +491,7 @@ func (e *Engine) newInstance(id string, schema *core.Schema, root *core.Task) *I
 		runs:          make(map[string]*run),
 		pendingRuns:   make(map[string]*run),
 		pendingTimers: make(map[string]*delayRec),
-		evCh:          make(chan completionMsg, 64),
-		timerSig:      make(chan struct{}, 1),
+		inbox:         inbox{nudge: make(chan struct{}, 1)},
 		markCh:        make(chan markMsg),
 		reqCh:         make(chan func()),
 		stopCh:        make(chan struct{}),
@@ -510,6 +502,9 @@ func (e *Engine) newInstance(id string, schema *core.Schema, root *core.Task) *I
 		inst.remoteGate = make(chan struct{}, n)
 	}
 	inst.usePlan()
+	// Size the history for an instance that runs each task once: waiting,
+	// started and terminal per task, plus instance-completed.
+	inst.events = make([]Event, 0, 3*len(inst.plan.Paths)+1)
 	return inst
 }
 
@@ -561,15 +556,11 @@ func (i *Instance) emit(ev Event) {
 }
 
 // QueuedWork reports how much input is queued for the controller but
-// not yet consumed: buffered worker completions plus queued timer
-// fires. Safe from any goroutine; the simulation harness polls it
-// (together with Config.Probe) to detect quiescence.
-func (i *Instance) QueuedWork() int {
-	i.timerQMu.Lock()
-	n := len(i.timerQ)
-	i.timerQMu.Unlock()
-	return n + len(i.evCh)
-}
+// not yet consumed: the messages in its inbox (implementation results,
+// deadlines, cancellations, delay fires). Safe from any goroutine; the
+// simulation harness polls it (together with Config.Probe) to detect
+// quiescence.
+func (i *Instance) QueuedWork() int { return i.inbox.len() }
 
 // Events returns a snapshot of the event trace.
 func (i *Instance) Events() []Event {
@@ -781,12 +772,12 @@ func (i *Instance) AbortTask(path, outcome string) error {
 	}
 }
 
-// Stop halts the controller, cancelling executing implementations. The
+// Stop halts the controller, cancelling executing implementations; it
+// does not wait for an implementation that ignores the cancellation. The
 // instance's persistent state remains recoverable.
 func (i *Instance) Stop() {
 	i.stopOnce.Do(func() { close(i.stopCh) })
 	<-i.loopDone
-	i.wg.Wait()
 	i.eng.drop(i.id)
 	i.setStatus(StatusStopped)
 }

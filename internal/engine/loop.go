@@ -11,24 +11,16 @@ import (
 	"repro/internal/txn"
 )
 
-// completionMsg is sent by a worker when an implementation returns.
-type completionMsg struct {
-	path string
-	gen  int
-	res  registry.Result
-	err  error
-}
-
-// markMsg is sent by a worker when an implementation releases a mark.
+// markMsg is sent by an implementation when it releases a mark.
 type markMsg struct {
-	path    string
-	gen     int
+	act     *taskCtx
 	name    string
 	objects registry.Objects
 	reply   chan error
 }
 
-// errCancelled marks a worker interrupted by force-abort or shutdown.
+// errCancelled marks an activation interrupted by force-abort, subtree
+// reset or reconfiguration.
 var errCancelled = errors.New("task execution cancelled")
 
 // loop is the instance controller: a single goroutine that owns the run
@@ -44,11 +36,12 @@ func (i *Instance) loop() {
 			probe.Wake(i.id)
 		}
 	}
+	var batch []msg
 	for {
 		// Park/Wake bracket the blocking select for the simulation
-		// harness's quiescence barrier: Park fires only when no queued
-		// input remains, so "every controller parked with empty queues
-		// and every inflight worker accounted for" means the system
+		// harness's quiescence barrier: Park fires only when the inbox
+		// is empty, so "every controller parked with an empty inbox and
+		// every inflight activation accounted for" means the system
 		// cannot progress without an external action. inflight and
 		// armedTimers are loop-owned, so reading them here is safe.
 		if probe != nil && i.QueuedWork() == 0 {
@@ -57,19 +50,16 @@ func (i *Instance) loop() {
 		select {
 		case <-i.stopCh:
 			wake()
-			i.cancelAllExecuting()
+			i.shutdown()
 			return
-		case msg := <-i.evCh:
+		case <-i.inbox.nudge:
 			wake()
-			i.handleCompletion(msg)
-		case <-i.timerSig:
+			batch = i.inbox.take(batch)
+			i.handleInbox(batch)
+			continue
+		case m := <-i.markCh:
 			wake()
-			for _, msg := range i.drainTimerQ() {
-				i.handleTimer(msg)
-			}
-		case msg := <-i.markCh:
-			wake()
-			msg.reply <- i.handleMark(msg)
+			m.reply <- i.handleMark(m)
 		case f := <-i.reqCh:
 			wake()
 			f()
@@ -78,11 +68,32 @@ func (i *Instance) loop() {
 	}
 }
 
-// cancelAllExecuting interrupts running implementations at shutdown.
+// handleInbox processes one batch of inbox messages in posting order,
+// evaluating once after each message that retires an activation and once
+// after each run of consecutive delay fires. A late message, about an
+// activation already retired, changes nothing and is not evaluated after.
+func (i *Instance) handleInbox(batch []msg) {
+	for k := range batch {
+		m := &batch[k]
+		if m.kind == msgTimer {
+			i.handleTimer(m.path, m.gen)
+			if k+1 < len(batch) && batch[k+1].kind == msgTimer {
+				continue
+			}
+		} else if !i.handleActivation(m) {
+			continue
+		}
+		i.evaluate()
+	}
+}
+
+// shutdown stops the controller: executing implementations are told to
+// stop, the transactions of live activations are aborted, and the inbox
+// refuses every later post (whose poster then aborts what it carries).
 // Pending delay timers are disarmed from the engine-wide wheel (which
 // outlives the instance); their durable records remain, so recovery
 // re-arms them at their original deadlines.
-func (i *Instance) cancelAllExecuting() {
+func (i *Instance) shutdown() {
 	for _, r := range i.runs {
 		if r.st.State != RunExecuting || r.task.Compound {
 			continue
@@ -98,6 +109,33 @@ func (i *Instance) cancelAllExecuting() {
 		default:
 			close(r.cancel)
 		}
+		if a := r.act; a != nil && a.tx != nil {
+			_ = a.tx.Abort()
+		}
+	}
+	// A queued result is the last thing its goroutine does with the
+	// activation, so ending its transaction falls to the controller. A
+	// queued deadline or cancellation leaves the transaction to the
+	// implementation's own post, which is refused from here on.
+	for _, m := range i.inbox.close() {
+		if m.kind == msgResult && m.act.tx != nil {
+			_ = m.act.tx.Abort()
+		}
+	}
+}
+
+// interrupt cancels the executing implementation of a plain run: the
+// implementation sees its taskCtx.Done close, and the live activation
+// gets a cancellation message, so the controller retires it whether or
+// not the implementation heeds the signal.
+func (i *Instance) interrupt(r *run) {
+	select {
+	case <-r.cancel:
+	default:
+		close(r.cancel)
+	}
+	if r.act != nil {
+		i.inbox.post(msg{kind: msgCancel, act: r.act})
 	}
 }
 
@@ -140,7 +178,7 @@ func (i *Instance) resumeExecuting() {
 			}
 			if r.st.State == RunExecuting && !r.task.Compound {
 				if _, isDelay, _ := delayOf(r.task); !isDelay {
-					i.spawnWorker(r)
+					i.spawnActivation(r)
 				}
 				// Delay runs were re-armed from their durable records by
 				// Recover; re-activating them here would restart the
@@ -327,8 +365,8 @@ func (i *Instance) sourceValue(r *run, s *core.Source) (registry.Value, bool) {
 	}
 }
 
-// startRun transitions a waiting run to executing: plain tasks get a
-// worker, compound tasks activate their constituents.
+// startRun transitions a waiting run to executing: plain tasks get an
+// activation, compound tasks activate their constituents.
 func (i *Instance) startRun(r *run, set string, inputs registry.Objects) {
 	r.st.State = RunExecuting
 	r.st.ChosenSet = set
@@ -351,8 +389,8 @@ func (i *Instance) startRun(r *run, set string, inputs registry.Objects) {
 		return
 	}
 	if d, isDelay, err := delayOf(r.task); isDelay {
-		// First-class delay: no worker, just an absolute deadline on the
-		// durable timing wheel (see timers.go).
+		// First-class delay: no activation, just an absolute deadline on
+		// the durable timing wheel (see timers.go).
 		if err != nil {
 			i.failRun(r, err)
 			return
@@ -360,7 +398,7 @@ func (i *Instance) startRun(r *run, set string, inputs registry.Objects) {
 		i.armDelay(r, i.eng.clock.Now().Add(d))
 		return
 	}
-	i.spawnWorker(r)
+	i.spawnActivation(r)
 }
 
 // activateConstituents creates waiting runs for a compound's members.
@@ -444,8 +482,8 @@ func (i *Instance) repeatRun(r *run, rec OutputRec) {
 }
 
 // resetSubtree removes the runs of a compound's constituents (they are
-// recreated fresh when the compound restarts), cancelling any that were
-// executing; late completions are dropped by generation check.
+// recreated fresh when the compound restarts), interrupting any that were
+// executing.
 func (i *Instance) resetSubtree(t *core.Task) {
 	for _, c := range t.Constituents {
 		path := c.Path()
@@ -455,11 +493,7 @@ func (i *Instance) resetSubtree(t *core.Task) {
 		}
 		if r.st.State == RunExecuting && !c.Compound {
 			i.cancelDelay(r)
-			select {
-			case <-r.cancel:
-			default:
-				close(r.cancel)
-			}
+			i.interrupt(r)
 		}
 		if c.Compound {
 			i.resetSubtree(c)
@@ -559,35 +593,15 @@ func (i *Instance) checkQuiescence() {
 	i.emit(Event{Kind: EventInstanceStalled})
 }
 
-// workerInfo is the immutable snapshot a worker needs.
-type workerInfo struct {
-	path      string
-	gen       int
-	code      string
-	location  string
-	atomic    bool
-	attempt   int
-	iteration int
-	set       string
-	inputs    registry.Objects
-	deadline  time.Duration
-	// deadlineCh is closed by the timing wheel when the activation
-	// deadline passes; deadlineID disarms it on completion.
-	deadlineCh <-chan struct{}
-	deadlineID string
-	cancel     chan struct{}
-	// traceID/spanID identify the attempt's activation span, forwarded
-	// to remote executors so their spans parent into the trace.
-	traceID string
-	spanID  string
-}
-
-// spawnWorker launches the implementation of a plain task run. The
-// activation deadline, when one applies, is an entry on the engine's
-// shared timing wheel rather than a per-worker timer; it is volatile by
+// spawnActivation starts one attempt of a plain task run's
+// implementation. The implementation is resolved here, on the loop, and
+// runs on a goroutine of its own that posts its result to the inbox; the
+// controller retires the activation on its first message (see retire).
+// The activation deadline, when one applies, is an entry on the engine's
+// shared timing wheel that posts a deadline message; it is volatile by
 // design — a recovered activation is a fresh attempt with a fresh
 // deadline.
-func (i *Instance) spawnWorker(r *run) {
+func (i *Instance) spawnActivation(r *run) {
 	deadline := i.eng.cfg.DefaultDeadline
 	if d, ok := r.task.Implementation["deadline"]; ok {
 		if parsed, err := time.ParseDuration(d); err == nil {
@@ -604,184 +618,200 @@ func (i *Instance) spawnWorker(r *run) {
 			"attempt": fmt.Sprint(r.st.Attempt), "set": r.st.ChosenSet,
 		},
 	}
-	c := &taskCtx{inst: i, done: make(chan struct{}), w: workerInfo{
-		path: r.st.Path, gen: r.gen, code: r.task.Code(), atomic: r.task.Atomic(),
+	c := &taskCtx{
+		inst: i, path: r.st.Path, gen: r.gen, code: r.task.Code(), atomic: r.task.Atomic(),
 		location: r.task.Implementation["location"],
 		attempt:  r.st.Attempt, iteration: r.st.Iteration, set: r.st.ChosenSet,
 		inputs: r.st.Inputs.Clone(), deadline: deadline, cancel: r.cancel,
 		traceID: r.actSpan.TraceID, spanID: r.actSpan.SpanID,
-	}}
-	w := &c.w
-	if deadline > 0 {
-		// The id carries gen AND attempt: retries of one generation must
-		// not let a finished attempt's disarm cancel its successor's
-		// deadline.
-		ch := make(chan struct{})
-		w.deadlineID = fmt.Sprintf("deadline|%s|%s|%d|%d", i.id, w.path, w.gen, w.attempt)
-		w.deadlineCh = ch
-		i.eng.timers.Arm(w.deadlineID, i.eng.clock.Now().Add(deadline), func() { close(ch) })
 	}
+	r.act = c
 	i.inflight++
-	i.wg.Add(1)
-	go i.worker(c)
-}
-
-// worker executes one activation of a task implementation off the loop
-// goroutine. Atomic tasks run inside a transaction committed only for
-// non-abort outcomes, so an abort outcome truly has no effects.
-func (i *Instance) worker(c *taskCtx) {
-	defer i.wg.Done()
-	w := &c.w
-	send := func(res registry.Result, err error) {
-		select {
-		case i.evCh <- completionMsg{path: w.path, gen: w.gen, res: res, err: err}:
-		case <-i.stopCh:
-		}
-	}
 	var f registry.Func
-	if w.location != "" && i.eng.cfg.RemoteInvoker != nil {
+	if c.location != "" && i.eng.cfg.RemoteInvoker != nil {
 		// The "location" implementation property routes the activation to
-		// a remote task executor; marks are not available remotely (one
-		// request/reply per activation).
-		invoke := i.eng.cfg.RemoteInvoker
-		// abandoned is closed when this worker stops listening (deadline
-		// fired, cancel, shutdown): an activation still queued on the
-		// backpressure gate must give up its wait instead of later
-		// burning a slot on a zombie dispatch whose result nobody reads.
-		abandoned := make(chan struct{})
-		defer close(abandoned)
-		f = func(ctx registry.Context) (registry.Result, error) {
-			if gate := i.remoteGate; gate != nil {
-				// Backpressure: wide fan-outs queue here instead of
-				// flooding the executor pool with unbounded concurrent
-				// dispatches. The waiting gauge must come back down on
-				// EVERY exit from the wait — including the abandoned
-				// path, where a deadline fired while the activation was
-				// still queued and nobody will ever read its result.
-				met := &i.eng.met
-				met.remoteWaiting.Add(1)
-				select {
-				case gate <- struct{}{}:
-					met.remoteWaiting.Add(-1)
-					met.remoteInflight.Add(1)
-					defer func() {
-						<-gate
-						met.remoteInflight.Add(-1)
-					}()
-				case <-w.cancel:
-					met.remoteWaiting.Add(-1)
-					return registry.Result{}, errCancelled
-				case <-abandoned:
-					met.remoteWaiting.Add(-1)
-					return registry.Result{}, errCancelled
-				case <-i.stopCh:
-					met.remoteWaiting.Add(-1)
-					return registry.Result{}, ErrStopped
-				}
-			}
-			return invoke(RemoteRequest{
-				Location: w.location, Code: w.code,
-				Instance: i.id, TaskPath: w.path, InputSet: w.set,
-				Attempt: w.attempt, Iteration: w.iteration,
-				Inputs:  w.inputs,
-				TraceID: w.traceID, SpanID: w.spanID,
-			})
+		// a remote task executor.
+		if i.remoteGate != nil {
+			c.abandoned = make(chan struct{})
 		}
+		f = c.invokeRemote
 	} else {
-		local, err := i.eng.impls.Lookup(w.code)
+		local, err := i.eng.impls.Lookup(c.code)
 		if err != nil {
-			send(registry.Result{}, err)
+			i.inbox.post(msg{kind: msgResult, act: c, err: err})
 			return
 		}
 		f = local
 	}
-	var tx *txn.Txn
-	if w.atomic {
-		tx = i.eng.preg.Manager().Begin()
-		c.tx = tx
+	if c.atomic {
+		// Atomic tasks run inside a transaction the controller commits
+		// only for a non-abort termination, so an abort outcome truly has
+		// no effects.
+		c.tx = i.eng.preg.Manager().Begin()
 	}
-	// Bounded by f returning: implementations observe taskCtx.Done, and
-	// the result lands in c, so finishing after abandonment blocks on
-	// nothing.
-	//wflint:allow goroutinestop bounded by f's return; taskCtx cancellation reaches f and the result is stored, not sent
-	go func() {
-		defer close(c.done)
-		defer func() {
-			if p := recover(); p != nil {
-				c.err = fmt.Errorf("implementation panic: %v", p)
-			}
-		}()
-		c.res, c.err = f(c)
-	}()
-	if w.deadlineID != "" {
-		defer i.eng.timers.Cancel(w.deadlineID)
+	if deadline > 0 {
+		// The id carries gen AND attempt: retries of one generation must
+		// not let a retired attempt's disarm cancel its successor's
+		// deadline.
+		c.deadlineID = fmt.Sprintf("deadline|%s|%s|%d|%d", i.id, c.path, c.gen, c.attempt)
+		i.eng.timers.Arm(c.deadlineID, i.eng.clock.Now().Add(deadline), func() {
+			i.inbox.post(msg{kind: msgDeadline, act: c})
+		})
 	}
-	var res registry.Result
-	var err error
-	select {
-	case <-c.done:
-		res, err = c.res, c.err
-	case <-w.deadlineCh:
-		err = fmt.Errorf("deadline %v exceeded", w.deadline)
-	case <-w.cancel:
-		err = errCancelled
-	case <-i.stopCh:
-		if tx != nil {
-			_ = tx.Abort()
+	//wflint:allow goroutinestop bounded by f's return; cancellation reaches f through taskCtx.Done, and a post never blocks
+	go c.activate(f)
+}
+
+// activate runs the implementation on the activation's own goroutine
+// and posts its result. A refused post means the controller has
+// stopped: nobody will decide the transaction, so it is aborted here.
+func (c *taskCtx) activate(f registry.Func) {
+	res, err := c.call(f)
+	if !c.inst.inbox.post(msg{kind: msgResult, act: c, res: res, err: err}) && c.tx != nil {
+		_ = c.tx.Abort()
+	}
+}
+
+// call runs f, turning a panic into an error result.
+func (c *taskCtx) call(f registry.Func) (res registry.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("implementation panic: %v", p)
 		}
-		return
+	}()
+	return f(c)
+}
+
+// invokeRemote executes the activation at its location through the
+// remote invoker. Marks are not available remotely (one request/reply
+// per activation).
+func (c *taskCtx) invokeRemote(registry.Context) (registry.Result, error) {
+	i := c.inst
+	if gate := i.remoteGate; gate != nil {
+		// Backpressure: wide fan-outs queue here instead of flooding the
+		// executor pool with unbounded concurrent dispatches. The waiting
+		// gauge must come back down on EVERY exit from the wait —
+		// including abandonment, where the controller retired the
+		// activation (deadline) while it was still queued and nobody will
+		// ever read its result, so it gives up its wait instead of later
+		// burning a slot on a zombie dispatch.
+		met := &i.eng.met
+		met.remoteWaiting.Add(1)
+		select {
+		case gate <- struct{}{}:
+			met.remoteWaiting.Add(-1)
+			met.remoteInflight.Add(1)
+			defer func() {
+				<-gate
+				met.remoteInflight.Add(-1)
+			}()
+		case <-c.cancel:
+			met.remoteWaiting.Add(-1)
+			return registry.Result{}, errCancelled
+		case <-c.abandoned:
+			met.remoteWaiting.Add(-1)
+			return registry.Result{}, errCancelled
+		case <-i.stopCh:
+			met.remoteWaiting.Add(-1)
+			return registry.Result{}, ErrStopped
+		}
 	}
-	if tx != nil {
-		// Commit application effects only for non-abort terminations.
-		if err == nil && !isAbortOutput(i, w.path, res.Output) {
-			if cerr := tx.Commit(); cerr != nil {
+	return i.eng.cfg.RemoteInvoker(RemoteRequest{
+		Location: c.location, Code: c.code,
+		Instance: i.id, TaskPath: c.path, InputSet: c.set,
+		Attempt: c.attempt, Iteration: c.iteration,
+		Inputs:  c.inputs,
+		TraceID: c.traceID, SpanID: c.spanID,
+	})
+}
+
+// retire ends an activation on its first message, exactly once:
+// inflight drops, the deadline is disarmed, a remote activation still
+// queued on the gate is abandoned, and the run lets go of it. It returns
+// the run the activation is still live for, or nil when the run was
+// reset or reconfigured away meanwhile.
+func (i *Instance) retire(a *taskCtx) *run {
+	a.retired = true
+	i.inflight--
+	if a.deadlineID != "" {
+		i.eng.timers.Cancel(a.deadlineID)
+	}
+	if a.abandoned != nil {
+		close(a.abandoned)
+	}
+	r, ok := i.runs[a.path]
+	if !ok || r.act != a {
+		return nil
+	}
+	r.act = nil
+	return r
+}
+
+// handleActivation processes a result, deadline or cancellation message
+// on the loop goroutine and reports whether it retired its activation.
+// A later message of a retired activation is dropped: its transaction
+// was already aborted at retirement, and nothing reads its result.
+func (i *Instance) handleActivation(m *msg) bool {
+	a := m.act
+	if a.retired {
+		return false
+	}
+	r := i.retire(a)
+	res, err := m.res, m.err
+	switch m.kind {
+	case msgDeadline:
+		err = fmt.Errorf("deadline %v exceeded", a.deadline)
+	case msgCancel:
+		err = errCancelled
+	}
+	if a.tx != nil {
+		// The commit decision is the controller's: effects commit only
+		// for a live run's non-abort result that no abort request
+		// overtook. A deadline or cancellation that came first retired
+		// the activation, so it can never race a commit.
+		if r != nil && err == nil && r.pendingAbort == "" && !isAbortOutput(r.task, res.Output) {
+			if cerr := a.tx.Commit(); cerr != nil {
 				res, err = registry.Result{}, fmt.Errorf("commit task transaction: %w", cerr)
 			}
 		} else {
-			_ = tx.Abort()
+			_ = a.tx.Abort()
 		}
 	}
-	send(res, err)
+	if r != nil {
+		i.handleCompletion(r, res, err)
+	}
+	return true
 }
 
-// isAbortOutput reports whether the named output of the task at path is
-// an abort outcome (schema reads are safe: the schema's class data is
-// immutable during execution).
-func isAbortOutput(i *Instance, path, output string) bool {
-	t := i.schema.Lookup(path)
-	if t == nil {
-		return false
-	}
+// isAbortOutput reports whether the named output of t is an abort
+// outcome.
+func isAbortOutput(t *core.Task, output string) bool {
 	o := t.Class.Output(output)
 	return o != nil && o.Kind == core.AbortOutcome
 }
 
-// handleCompletion processes a worker result on the loop goroutine.
-func (i *Instance) handleCompletion(msg completionMsg) {
-	i.inflight--
-	r, ok := i.runs[msg.path]
-	if !ok || r.gen != msg.gen || r.st.State != RunExecuting {
-		return // stale: the run was reset, aborted or reconfigured away
-	}
+// handleCompletion applies the outcome of a retired activation to its
+// live run.
+func (i *Instance) handleCompletion(r *run, res registry.Result, err error) {
 	var errText string
-	if msg.err != nil {
-		errText = msg.err.Error()
+	if err != nil {
+		errText = err.Error()
 	}
 	i.finishActSpan(r, errText)
-	if r.pendingAbort != "" || errors.Is(msg.err, errCancelled) {
+	if r.pendingAbort != "" || errors.Is(err, errCancelled) {
 		i.forceAbortNow(r)
 		return
 	}
-	if msg.err != nil {
-		i.systemFailure(r, msg.err)
+	if err != nil {
+		i.systemFailure(r, err)
 		return
 	}
-	out := r.task.Class.Output(msg.res.Output)
+	out := r.task.Class.Output(res.Output)
 	if out == nil {
-		i.failRun(r, fmt.Errorf("implementation produced unknown output %q", msg.res.Output))
+		i.failRun(r, fmt.Errorf("implementation produced unknown output %q", res.Output))
 		return
 	}
-	objects, err := i.conformObjects(out, msg.res.Objects)
+	objects, err := i.conformObjects(out, res.Objects)
 	if err != nil {
 		i.failRun(r, err)
 		return
@@ -832,7 +862,7 @@ func (i *Instance) systemFailure(r *run, cause error) {
 		i.persistRun(r)
 		i.eng.met.retries.Inc()
 		i.emit(Event{Task: r.st.Path, Kind: EventTaskRetried, Err: cause.Error(), Attempt: r.st.Attempt, Iteration: r.st.Iteration})
-		i.spawnWorker(r)
+		i.spawnActivation(r)
 		return
 	}
 	if len(r.st.MarksEmitted) > 0 {
@@ -875,10 +905,12 @@ func (i *Instance) forceAbortNow(r *run) {
 	}
 }
 
-// handleMark records a mark released by a running implementation.
+// handleMark records a mark released by a running implementation. Only
+// the run's live activation may mark: a retired one (past its deadline,
+// cancelled) is no longer the run's execution.
 func (i *Instance) handleMark(msg markMsg) error {
-	r, ok := i.runs[msg.path]
-	if !ok || r.gen != msg.gen || r.st.State != RunExecuting {
+	r, ok := i.runs[msg.act.path]
+	if !ok || r.act != msg.act {
 		return fmt.Errorf("mark %s: task is not executing", msg.name)
 	}
 	out := r.task.Class.Output(msg.name)
@@ -946,17 +978,13 @@ func (i *Instance) abortTask(path, outcome string) error {
 			r.pendingAbort = outcome
 		}
 		if r.delayArmed {
-			// Delay runs have no worker to interrupt: disarm the wheel
-			// and terminate immediately.
+			// Delay runs have no activation to interrupt: disarm the
+			// wheel and terminate immediately.
 			i.cancelDelay(r)
 			i.forceAbortNow(r)
 			return nil
 		}
-		select {
-		case <-r.cancel:
-		default:
-			close(r.cancel)
-		}
+		i.interrupt(r)
 		return nil
 	default:
 		return fmt.Errorf("abort task %s: task is %s", path, r.st.State)
@@ -1059,36 +1087,60 @@ func (i *Instance) flushRuns() error {
 	return nil
 }
 
-// taskCtx implements registry.Context for one activation. The worker
-// owns it; the implementation's goroutine stores its result in res/err
-// and then closes done.
+// taskCtx is one activation: an attempt of a plain task run's
+// implementation, started by spawnActivation, and the registry.Context
+// that implementation sees. Everything but retired is fixed when it is
+// spawned.
 type taskCtx struct {
-	inst *Instance
-	w    workerInfo
-	tx   *txn.Txn
-	done chan struct{}
-	res  registry.Result
-	err  error
+	inst      *Instance
+	path      string
+	gen       int
+	code      string
+	location  string
+	atomic    bool
+	attempt   int
+	iteration int
+	set       string
+	inputs    registry.Objects
+	deadline  time.Duration
+	// deadlineID names the deadline's wheel entry, which retirement
+	// disarms; empty without a deadline.
+	deadlineID string
+	// cancel is the run's interrupt channel (force abort, reset,
+	// reconfiguration, shutdown), the implementation's Done.
+	cancel chan struct{}
+	// traceID/spanID identify the attempt's activation span, forwarded
+	// to remote executors so their spans parent into the trace.
+	traceID string
+	spanID  string
+	// tx is the atomic task's transaction, ended by the controller.
+	tx *txn.Txn
+	// abandoned is closed at retirement, so a remote activation still
+	// queued on the remote gate gives up its wait; nil without a gate.
+	abandoned chan struct{}
+	// retired is set by the controller on the first message about this
+	// activation; loop-owned.
+	retired bool
 }
 
 var _ registry.Context = (*taskCtx)(nil)
 
 func (c *taskCtx) Instance() string         { return c.inst.id }
-func (c *taskCtx) TaskPath() string         { return c.w.path }
-func (c *taskCtx) InputSet() string         { return c.w.set }
-func (c *taskCtx) Inputs() registry.Objects { return c.w.inputs }
-func (c *taskCtx) Attempt() int             { return c.w.attempt }
-func (c *taskCtx) Iteration() int           { return c.w.iteration }
+func (c *taskCtx) TaskPath() string         { return c.path }
+func (c *taskCtx) InputSet() string         { return c.set }
+func (c *taskCtx) Inputs() registry.Objects { return c.inputs }
+func (c *taskCtx) Attempt() int             { return c.attempt }
+func (c *taskCtx) Iteration() int           { return c.iteration }
 func (c *taskCtx) Txn() *txn.Txn            { return c.tx }
-func (c *taskCtx) Done() <-chan struct{}    { return c.w.cancel }
+func (c *taskCtx) Done() <-chan struct{}    { return c.cancel }
 
 func (c *taskCtx) Mark(name string, objects registry.Objects) error {
-	if c.w.atomic {
+	if c.atomic {
 		return fmt.Errorf("mark %s: atomic tasks cannot produce marks", name)
 	}
 	reply := make(chan error, 1)
 	select {
-	case c.inst.markCh <- markMsg{path: c.w.path, gen: c.w.gen, name: name, objects: objects, reply: reply}:
+	case c.inst.markCh <- markMsg{act: c, name: name, objects: objects, reply: reply}:
 	case <-c.inst.stopCh:
 		return ErrStopped
 	}

@@ -409,11 +409,7 @@ func (i *Instance) reconfigure(ops []Op) error {
 			// any pending delay timer and its durable record).
 			if r.st.State == RunExecuting && !r.task.Compound {
 				i.cancelDelay(r)
-				select {
-				case <-r.cancel:
-				default:
-					close(r.cancel)
-				}
+				i.interrupt(r)
 			}
 			delete(i.runs, path)
 			i.deleteRunState(path)

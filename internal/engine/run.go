@@ -93,15 +93,18 @@ type runState struct {
 type run struct {
 	task *core.Task
 	st   runState
-	// gen is an instance-unique generation number; completions carry the
-	// generation of the run that spawned them so late results of reset or
-	// cancelled activations are dropped.
+	// gen is an instance-unique generation number; delay fires carry the
+	// generation of the run that armed them so late fires are dropped.
 	gen int
 	// cancel is closed to interrupt an executing implementation (force
-	// abort, shutdown); nil until the run executes.
+	// abort, reset, reconfiguration, shutdown); nil until the run
+	// executes.
 	cancel chan struct{}
+	// act is the run's live activation, nil once retired (see retire in
+	// loop.go); a message about any other activation is stale.
+	act *taskCtx
 	// delayArmed reports a pending first-class delay timer on the wheel
-	// (see timers.go); such runs execute without a worker.
+	// (see timers.go); such runs execute without an activation.
 	delayArmed bool
 	// delayDeadline is the armed delay's absolute deadline; handleTimer
 	// derives the fire-lag observation from it.

@@ -29,18 +29,15 @@ import (
 //
 //   - Per-activation deadlines: Config.DefaultDeadline and the
 //     "deadline" implementation property bound each activation through
-//     a wheel entry instead of a per-worker time.Timer. Deadlines are
+//     a wheel entry that posts a deadline message to the instance inbox,
+//     instead of a per-activation time.Timer. Deadlines are
 //     deliberately volatile: a recovered activation is a fresh attempt
 //     and gets its full deadline again (at-least-once execution).
 //
-// Timer fires enter the instance loop as messages and propagate through
-// the dirty-set scheduler like any other availability event.
-
-// timerMsg is delivered to the instance loop when a delay timer fires.
-type timerMsg struct {
-	path string
-	gen  int
-}
+// Timer fires enter the instance loop as inbox messages and propagate
+// through the dirty-set scheduler like any other availability event. The
+// inbox never blocks a poster: one slow instance must not stall the
+// shared wheel goroutine, and with it every other instance's timers.
 
 // delayRec is the persisted record of one pending delay, written through
 // the store in the same batch as the Executing run state it belongs to
@@ -108,7 +105,7 @@ func (i *Instance) armDelay(r *run, deadline time.Time) {
 	i.persistTimerRec(r.st.Path, &delayRec{Path: r.st.Path, Deadline: deadline, Iteration: r.st.Iteration})
 	path, gen := r.st.Path, r.gen
 	i.eng.timers.Arm(delayID(i.id, path), deadline, func() {
-		i.queueTimer(timerMsg{path: path, gen: gen})
+		i.inbox.post(msg{kind: msgTimer, path: path, gen: gen})
 	})
 	i.emit(Event{Task: path, Kind: EventTimerArmed, Deadline: deadline, Iteration: r.st.Iteration})
 }
@@ -125,34 +122,13 @@ func (i *Instance) cancelDelay(r *run) {
 	i.deleteTimerRec(r.st.Path)
 }
 
-// queueTimer appends a fire to the instance's unbounded timer queue and
-// nudges the loop. Runs on the wheel goroutine: it must never block, or
-// one busy instance would stall every other instance's timers.
-func (i *Instance) queueTimer(msg timerMsg) {
-	i.timerQMu.Lock()
-	i.timerQ = append(i.timerQ, msg)
-	i.timerQMu.Unlock()
-	select {
-	case i.timerSig <- struct{}{}:
-	default:
-	}
-}
-
-// drainTimerQ takes the queued fires in arrival (wheel-firing) order.
-func (i *Instance) drainTimerQ() []timerMsg {
-	i.timerQMu.Lock()
-	q := i.timerQ
-	i.timerQ = nil
-	i.timerQMu.Unlock()
-	return q
-}
-
-// handleTimer processes a delay fire on the loop goroutine: the run
-// terminates in its delay outcome, and the durable record is deleted in
-// the same batch as the terminal run state.
-func (i *Instance) handleTimer(msg timerMsg) {
-	r, ok := i.runs[msg.path]
-	if !ok || r.gen != msg.gen || r.st.State != RunExecuting || !r.delayArmed {
+// handleTimer processes the delay fire of the run at path, generation
+// gen, on the loop goroutine: the run terminates in its delay outcome,
+// and the durable record is deleted in the same batch as the terminal
+// run state.
+func (i *Instance) handleTimer(path string, gen int) {
+	r, ok := i.runs[path]
+	if !ok || r.gen != gen || r.st.State != RunExecuting || !r.delayArmed {
 		return // stale: the run was reset, aborted or reconfigured away
 	}
 	r.delayArmed = false

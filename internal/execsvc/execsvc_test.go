@@ -1,6 +1,7 @@
 package execsvc_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -209,6 +210,20 @@ task audit of taskclass PaymentCapture
 	}
 	if res.Output != "orderCompleted" {
 		t.Fatalf("result = %+v", res)
+	}
+	// The audit does not gate the order's outcome, so its activation may
+	// still be finishing when the root settles: wait for its completion
+	// before reading the trace over the wire.
+	inst, err := s.eng.Instance("o-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := inst.WaitEvent(ctx, func(e engine.Event) bool {
+		return e.Kind == engine.EventTaskCompleted && strings.HasSuffix(e.Task, "/audit")
+	}); err != nil {
+		t.Fatalf("audit never completed: %v (events: %v)", err, inst.Events())
 	}
 	events, err := s.execC.Events("o-2", 0)
 	if err != nil {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"crypto/rand"
-	"encoding/hex"
 	"sort"
 	"sync"
 	"time"
@@ -34,14 +33,21 @@ type Span struct {
 // NewID returns a 16-hex-digit random ID for traces and spans.
 // crypto/rand, not the clock: ID minting must stay off the timers.Clock
 // so deterministic simulations don't entangle IDs with virtual time.
+// Every activation mints one, so the digits are encoded into a stack
+// array and the returned string is the only allocation.
 func NewID() string {
+	const digits = "0123456789abcdef"
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// rand.Read only fails when the OS entropy source is broken;
 		// degrade to a constant rather than take down the hot path.
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var dst [16]byte
+	for k, v := range b {
+		dst[2*k], dst[2*k+1] = digits[v>>4], digits[v&0x0f]
+	}
+	return string(dst[:])
 }
 
 // Tracer is a bounded in-memory span store: a ring of the most recent

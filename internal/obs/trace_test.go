@@ -90,11 +90,25 @@ func TestTracerImportDedupSurvivesEviction(t *testing.T) {
 
 func TestNewIDShape(t *testing.T) {
 	a, b := NewID(), NewID()
-	if len(a) != 16 || len(b) != 16 {
-		t.Fatalf("IDs %q/%q, want 16 hex chars", a, b)
+	for _, id := range []string{a, b} {
+		if len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+			t.Fatalf("ID %q, want 16 lowercase hex digits", id)
+		}
 	}
 	if a == b {
 		t.Fatalf("two fresh IDs collided: %q", a)
+	}
+}
+
+// TestNewIDAllocatesOnce: every activation mints a span ID, so the
+// string is the only allocation (a -race build adds the random buffer).
+func TestNewIDAllocatesOnce(t *testing.T) {
+	want := 1.0
+	if raceEnabled {
+		want = 2
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewID() }); n != want {
+		t.Fatalf("NewID allocates %v times per call, want %v", n, want)
 	}
 }
 

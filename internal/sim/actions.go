@@ -433,7 +433,7 @@ func (w *World) stopCoordinator(i int) {
 	// synchronously: its own local handlers (where == its name) and the
 	// executor-side handlers of the instances it hosted. Local handlers
 	// do wake through their cancelled run contexts, but that wakeup is
-	// asynchronous — the engine worker does not wait for the
+	// asynchronous — the engine's Stop does not wait for the
 	// implementation goroutine — so leaving their entries to self-clean
 	// would race the kill-time frontier snapshot and make the trace's
 	// ready-diff depend on goroutine scheduling. Executor-side handlers

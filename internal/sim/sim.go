@@ -18,8 +18,8 @@
 //     frontier of the computation.
 //   - Between driver actions the world *settles*: the harness waits, via
 //     the engine's Config.Probe park/wake hooks, until every instance
-//     controller is parked with empty queues and every in-flight worker
-//     is accounted for by a gate entry. At that point nothing in the
+//     controller is parked with an empty inbox and every in-flight
+//     activation is accounted for by a gate entry. At that point nothing in the
 //     system can make progress without another injected action, so the
 //     event trace collected so far is a pure function of the action
 //     sequence.
@@ -272,7 +272,7 @@ func New(cfg Config) (*World, error) {
 		return nil, errors.New("sim: activation deadlines are not simulable (an abandoned activation would leak its gate entry); leave DefaultDeadline zero")
 	}
 	if cfg.Engine.MaxRemoteInflight != 0 {
-		return nil, errors.New("sim: MaxRemoteInflight would hold workers outside the gate and break the quiescence barrier; leave it zero")
+		return nil, errors.New("sim: MaxRemoteInflight would hold activations outside the gate and break the quiescence barrier; leave it zero")
 	}
 	if cfg.Location == "" {
 		cfg.Location = "pool"
@@ -629,7 +629,7 @@ func (w *World) takeGate(key gateKey) (*gateEntry, bool) {
 
 // syncWheel flushes every live coordinator's timing wheel: after it
 // returns, every fire due at the current clock reading has been
-// delivered into its instance's timer queue (where QueuedWork sees it).
+// delivered into its instance's inbox (where QueuedWork sees it).
 func (w *World) syncWheel() {
 	for _, c := range w.coords {
 		if c != nil && c.alive {
@@ -639,14 +639,14 @@ func (w *World) syncWheel() {
 }
 
 // quietLocked reports whether the system is provably unable to make
-// progress: every tracked controller is parked with empty queues, and
-// its in-flight workers are all blocked in gate entries. Callers hold
-// w.mu.
+// progress: every tracked controller is parked with an empty inbox, and
+// its in-flight activations are all blocked in gate entries. Callers
+// hold w.mu.
 //
 // Soundness: inflight is loop-owned and frozen while the controller is
-// parked. A worker between dispatch and gate registration (or between
-// release and completion delivery) keeps inflight > gated; a buffered
-// completion keeps QueuedWork > 0; wheel-side work is excluded by
+// parked. An activation between dispatch and gate registration (or
+// between release and posting its result) keeps inflight > gated; a
+// posted result keeps QueuedWork > 0; wheel-side work is excluded by
 // syncWheel before the check; and no driver action is concurrent with
 // settle, so nothing arms or starts behind the barrier's back.
 func (w *World) quietLocked() bool {
